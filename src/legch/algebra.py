@@ -19,9 +19,12 @@ attaining that maximum.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 import sys
+import weakref
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[str, ...]
@@ -64,19 +67,70 @@ _KIND_PRODUCT = "p"
 _KIND_SUM = "s"
 
 
+def _memo(name: str):
+    """The one memo: the decorated structural statistic runs once per node
+    and argument, and its value is kept in the node's _cache under
+    (name, *args).  Composite descendants that lack the value are filled
+    first, children before parents, so the computation finds its
+    children's values cached and never recurses as deep as the DAG."""
+
+    def decorate(compute):
+        @functools.wraps(compute)
+        def stat(self, *args):
+            key = (name, *args) if args else name
+            cache = self._cache
+            value = cache.get(key, cache)
+            if value is cache:
+                stack = list(self._children)
+                while stack:
+                    node = stack[-1]
+                    if not node._children or key in node._cache:
+                        stack.pop()
+                        continue
+                    height = len(stack)
+                    for c in node._children:
+                        if c._children and key not in c._cache:
+                            stack.append(c)
+                    if len(stack) == height:
+                        stack.pop()
+                        node._cache[key] = compute(node, *args)
+                value = cache[key] = compute(self, *args)
+            return value
+
+        return stat
+
+    return decorate
+
+
 class Poly:
-    """An element of the free Z2 algebra.  Immutable."""
+    """An element of the free Z2 algebra.  Immutable; only its certificates
+    may be switched on later, when a caller asserts them."""
 
-    __slots__ = ("_kind", "_words", "_factors", "_terms", "_injective", "_cache")
+    __slots__ = (
+        "_kind",
+        "_words",
+        "_children",
+        "_token",
+        "_injective",
+        "_disjoint",
+        "_cache",
+        "__weakref__",
+    )
 
-    def __init__(self, _token=None):
-        if _token is not _MAKE:
+    def __init__(self, _make=None):
+        if _make is not _MAKE:
             raise TypeError("use Poly.zero/one/gen/word/from_words or parsing")
         self._kind = _KIND_EXPLICIT
         self._words: frozenset[Word] = frozenset()
-        self._factors: tuple[Poly, ...] = ()
-        self._terms: tuple[Poly, ...] = ()
-        self._injective = True
+        # Product nodes have two factors, sum nodes at least two terms.
+        self._children: tuple[Poly, ...] = ()
+        # Interning key of the node as a child: the word set when explicit,
+        # a serial number when composite (see _node).
+        self._token = self._words
+        # Certificates: a product's concatenation map is injective on its
+        # factors' words; a sum's terms are pairwise word-disjoint.
+        self._injective = False
+        self._disjoint = False
         self._cache: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -84,7 +138,7 @@ class Poly:
     @staticmethod
     def _explicit(words: frozenset[Word]) -> "Poly":
         p = Poly(_MAKE)
-        p._words = words
+        p._words = p._token = words
         return p
 
     @staticmethod
@@ -114,21 +168,23 @@ class Poly:
                 acc.add(word)
         return Poly._explicit(frozenset(acc))
 
-    # -- basic structure ---------------------------------------------------
+    # -- structural statistics ---------------------------------------------
+    #
+    # Explicit nodes answer O(1) statistics inline; everything else is
+    # computed once per node by _memo, so shared subterms are walked once.
 
     @property
     def is_explicit(self) -> bool:
         return self._kind == _KIND_EXPLICIT
 
     def __bool__(self) -> bool:
+        # Not memoized: _memo would fill every descendant, while this test
+        # stops at the first certificate.
         if self._kind == _KIND_EXPLICIT:
             return bool(self._words)
         if self._kind == _KIND_PRODUCT:
-            return all(self._factors)
-        # Sum: terms are never Sum nodes (flattened) and never zero.
-        if len(self._terms) == 1:
-            return bool(self._terms[0])
-        if self._cache.get("disjoint") or _pairwise_disjoint(self._terms):
+            return all(self._children)  # the free algebra has no zero divisors
+        if self._disjoint or _pairwise_disjoint(self._children):
             return True
         return self.length() != 0
 
@@ -136,231 +192,149 @@ class Poly:
         """True when the value is certainly a single word."""
         if self._kind == _KIND_EXPLICIT:
             return len(self._words) == 1
-        if self._kind == _KIND_PRODUCT:
-            return all(f.is_singleton() for f in self._factors)
-        return len(self._terms) == 1 and self._terms[0].is_singleton()
+        return self._singleton()
+
+    @_memo("singleton")
+    def _singleton(self) -> bool:
+        return self._kind == _KIND_PRODUCT and all(f.is_singleton() for f in self._children)
 
     def the_word(self) -> Word:
         """The unique word of a singleton polynomial."""
         if self._kind == _KIND_EXPLICIT:
             (w,) = self._words
             return w
-        if self._kind == _KIND_PRODUCT:
-            out: list[str] = []
-            for f in self._factors:
-                out.extend(f.the_word())
-            return tuple(out)
-        return self._terms[0].the_word()
+        return tuple(itertools.chain.from_iterable(f.the_word() for f in self._children))
 
+    @_memo("alphabet")
     def alphabet(self) -> frozenset[str]:
-        a = self._cache.get("alphabet")
-        if a is None:
-            if self._kind == _KIND_EXPLICIT:
-                a = frozenset(c for w in self._words for c in w)
-            elif self._kind == _KIND_PRODUCT:
-                a = frozenset().union(*(f.alphabet() for f in self._factors))
-            else:
-                a = frozenset().union(*(t.alphabet() for t in self._terms))
-            self._cache["alphabet"] = a
-        return a
+        if self._kind == _KIND_EXPLICIT:
+            return frozenset(c for w in self._words for c in w)
+        return frozenset().union(*(c.alphabet() for c in self._children))
+
+    @_memo("mandatory")
+    def mandatory(self) -> frozenset[str]:
+        """Letters that occur in every word (subset-sound)."""
+        if self._kind == _KIND_EXPLICIT:
+            sets = [frozenset(w) for w in self._words]
+        else:
+            sets = [c.mandatory() for c in self._children]
+            if self._kind == _KIND_PRODUCT:
+                return frozenset().union(*sets)
+        return frozenset.intersection(*sets) if sets else frozenset()
 
     def size_bound(self) -> int:
         """Upper bound on the number of words (exact when cancellation-free)."""
-        b = self._cache.get("size_bound")
-        if b is None:
-            if self._kind == _KIND_EXPLICIT:
-                b = len(self._words)
-            elif self._kind == _KIND_PRODUCT:
-                b = 1
-                for f in self._factors:
-                    b *= f.size_bound()
-            else:
-                b = sum(t.size_bound() for t in self._terms)
-            self._cache["size_bound"] = b
-        return b
+        if self._kind == _KIND_EXPLICIT:
+            return len(self._words)
+        return self._size_bound()
+
+    @_memo("size_bound")
+    def _size_bound(self) -> int:
+        sizes = [c.size_bound() for c in self._children]
+        return math.prod(sizes) if self._kind == _KIND_PRODUCT else sum(sizes)
 
     def may_unit(self) -> bool:
         """True when the empty word may belong to the set (superset-sound)."""
         if self._kind == _KIND_EXPLICIT:
             return EMPTY_WORD in self._words
-        if self._kind == _KIND_PRODUCT:
-            return all(f.may_unit() for f in self._factors)
-        return any(t.may_unit() for t in self._terms)
+        return self._may_unit()
+
+    @_memo("may_unit")
+    def _may_unit(self) -> bool:
+        units = (c.may_unit() for c in self._children)
+        return all(units) if self._kind == _KIND_PRODUCT else any(units)
 
     def has_unit(self) -> bool:
         """Exact membership of the empty word."""
         if self._kind == _KIND_EXPLICIT:
             return EMPTY_WORD in self._words
-        if self._kind == _KIND_PRODUCT:
-            # multiplicity of the empty word is the product of multiplicities
-            return all(f.has_unit() for f in self._factors)
-        flag = False
-        for t in self._terms:
-            flag ^= t.has_unit()
-        return flag
+        return self._has_unit()
 
-    def count_bounds(self, letter: str) -> tuple[int, int]:
-        """Bounds on the multiplicity of `letter` across words (superset-sound)."""
-        key = ("cb", letter)
-        b = self._cache.get(key)
-        if b is None:
-            if self._kind == _KIND_EXPLICIT:
-                if not self._words:
-                    b = (0, 0)
-                else:
-                    counts = [w.count(letter) for w in self._words]
-                    b = (min(counts), max(counts))
-            elif self._kind == _KIND_PRODUCT:
-                lo = hi = 0
-                for f in self._factors:
-                    flo, fhi = f.count_bounds(letter)
-                    lo += flo
-                    hi += fhi
-                b = (lo, hi)
-            else:
-                los, his = zip(*(t.count_bounds(letter) for t in self._terms))
-                b = (min(los), max(his))
-            self._cache[key] = b
-        return b
+    @_memo("has_unit")
+    def _has_unit(self) -> bool:
+        units = [c.has_unit() for c in self._children]
+        # the multiplicity of the empty word in a product is the product of
+        # its multiplicities in the factors
+        return all(units) if self._kind == _KIND_PRODUCT else sum(units) % 2 == 1
+
+    @_memo("bounds")
+    def count_bounds(self, letter: str | None) -> tuple[int, int]:
+        """Bounds on the multiplicity of `letter` across words, or on word
+        lengths when `letter` is None (superset-sound)."""
+        if self._kind == _KIND_EXPLICIT:
+            if not self._words:
+                return (0, 0)
+            vals = [len(w) if letter is None else w.count(letter) for w in self._words]
+            return (min(vals), max(vals))
+        los, his = zip(*(c.count_bounds(letter) for c in self._children))
+        if self._kind == _KIND_PRODUCT:
+            return (sum(los), sum(his))
+        return (min(los), max(his))
 
     def len_bounds(self) -> tuple[int, int]:
         """Bounds on word lengths (superset-sound)."""
-        b = self._cache.get("len_bounds")
-        if b is None:
-            if self._kind == _KIND_EXPLICIT:
-                if not self._words:
-                    b = (0, 0)
-                else:
-                    lens = [len(w) for w in self._words]
-                    b = (min(lens), max(lens))
-            elif self._kind == _KIND_PRODUCT:
-                lo = hi = 0
-                for f in self._factors:
-                    flo, fhi = f.len_bounds()
-                    lo += flo
-                    hi += fhi
-                b = (lo, hi)
-            else:
-                los, his = zip(*(t.len_bounds() for t in self._terms))
-                b = (min(los), max(his))
-            self._cache["len_bounds"] = b
-        return b
+        return self.count_bounds(None)
 
-    def may_last_letters(self) -> tuple[frozenset[str], bool]:
-        """(possible last letters, may the empty word occur) -- superset-sound."""
-        r = self._cache.get("last")
-        if r is None:
-            if self._kind == _KIND_EXPLICIT:
-                letters = frozenset(w[-1] for w in self._words if w)
-                r = (letters, EMPTY_WORD in self._words)
-            elif self._kind == _KIND_PRODUCT:
-                letters: set[str] = set()
-                empty_ok = True
-                for f in reversed(self._factors):
-                    fl, fe = f.may_last_letters()
-                    letters |= fl
-                    if not fe:
-                        empty_ok = False
-                        break
-                r = (frozenset(letters), empty_ok)
-            else:
-                parts = [t.may_last_letters() for t in self._terms]
-                r = (
-                    frozenset().union(*(p[0] for p in parts)),
-                    any(p[1] for p in parts),
-                )
-            self._cache["last"] = r
-        return r
-
-    def may_first_letters(self) -> tuple[frozenset[str], bool]:
-        r = self._cache.get("first")
-        if r is None:
-            if self._kind == _KIND_EXPLICIT:
-                letters = frozenset(w[0] for w in self._words if w)
-                r = (letters, EMPTY_WORD in self._words)
-            elif self._kind == _KIND_PRODUCT:
-                letters: set[str] = set()
-                empty_ok = True
-                for f in self._factors:
-                    fl, fe = f.may_first_letters()
-                    letters |= fl
-                    if not fe:
-                        empty_ok = False
-                        break
-                r = (frozenset(letters), empty_ok)
-            else:
-                parts = [t.may_first_letters() for t in self._terms]
-                r = (
-                    frozenset().union(*(p[0] for p in parts)),
-                    any(p[1] for p in parts),
-                )
-            self._cache["first"] = r
-        return r
+    @_memo("end")
+    def end_letters(self, side: int) -> frozenset[str]:
+        """Letters that may begin (side 0) or end (side -1) a nonempty word
+        (superset-sound); whether the empty word may occur is may_unit."""
+        if self._kind == _KIND_EXPLICIT:
+            return frozenset(w[side] for w in self._words if w)
+        if self._kind == _KIND_SUM:
+            return frozenset().union(*(t.end_letters(side) for t in self._children))
+        letters: set[str] = set()
+        for f in self._children if side == 0 else reversed(self._children):
+            letters |= f.end_letters(side)
+            if not f.may_unit():
+                break
+        return frozenset(letters)
 
     # -- exact membership --------------------------------------------------
 
     def contains(self, word: Word) -> bool:
         if self._kind == _KIND_EXPLICIT:
             return word in self._words
+        if not word:
+            return self.has_unit()
         if self._kind == _KIND_SUM:
             flag = False
-            for t in self._terms:
+            for t in self._children:
                 flag ^= t.contains(word)
             return flag
         # Product: parity of the number of admissible splits.
+        a, b = self._children
         n = len(word)
-        factors = self._factors
-        # parity[i] over positions: ways to split word[:pos] into factors[:i]
-        cur = [False] * (n + 1)
-        cur[0] = True
-        for f in factors:
-            nxt = [False] * (n + 1)
-            flo, fhi = f.len_bounds()
-            for start in range(n + 1):
-                if not cur[start]:
-                    continue
-                for end in range(start + flo, min(n, start + fhi) + 1):
-                    if f.contains(word[start:end]):
-                        nxt[end] = not nxt[end]
-            cur = nxt
-        return cur[n]
+        alo, ahi = a.len_bounds()
+        blo, bhi = b.len_bounds()
+        flag = False
+        for i in range(max(alo, n - bhi), min(ahi, n - blo) + 1):
+            if a.contains(word[:i]) and b.contains(word[i:]):
+                flag = not flag
+        return flag
 
     # -- materialization ---------------------------------------------------
 
     def expand(self, cap: int | None = None) -> frozenset[Word]:
-        cached = self._cache.get("expanded")
-        if cached is not None:
-            return cached
         limit = EXPANSION_CAP if cap is None else cap
         if self.size_bound() > limit:
             raise ExpansionTooLarge(
                 f"expansion bound {self.size_bound()} exceeds cap {limit}"
             )
         if self._kind == _KIND_EXPLICIT:
-            out = self._words
-        elif self._kind == _KIND_SUM:
+            return self._words
+        return self._expanded()
+
+    @_memo("expanded")
+    def _expanded(self) -> frozenset[Word]:
+        # below a node that passed the cap, every bound is smaller
+        parts = [c._words if c._kind == _KIND_EXPLICIT else c._expanded() for c in self._children]
+        if self._kind == _KIND_SUM:
             acc: set[Word] = set()
-            for t in self._terms:
-                acc ^= t.expand(limit)
-            out = frozenset(acc)
-        else:
-            factor_words = [f.expand(limit) for f in self._factors]
-            if self._injective:
-                out = frozenset(
-                    tuple(itertools.chain.from_iterable(combo))
-                    for combo in itertools.product(*factor_words)
-                )
-            else:
-                acc = set()
-                for combo in itertools.product(*factor_words):
-                    w = tuple(itertools.chain.from_iterable(combo))
-                    if w in acc:
-                        acc.discard(w)
-                    else:
-                        acc.add(w)
-                out = frozenset(acc)
-        self._cache["expanded"] = out
-        return out
+            for words in parts:
+                acc ^= words
+            return frozenset(acc)
+        return _concat(*parts)
 
     def words(self) -> frozenset[Word]:
         """Explicit word set (materializes; may raise ExpansionTooLarge)."""
@@ -374,26 +348,18 @@ class Poly:
 
     def length(self) -> int:
         """Exact number of words in the canonical form."""
-        v = self._cache.get("length")
-        if v is not None:
-            return v
         if self._kind == _KIND_EXPLICIT:
-            v = len(self._words)
-        elif self._kind == _KIND_PRODUCT:
-            if self._injective:
-                v = 1
-                for f in self._factors:
-                    v *= f.length()
-            else:
-                v = len(self.expand())
-        else:
-            v = self._sum_length()
-        self._cache["length"] = v
-        return v
+            return len(self._words)
+        return self._length()
 
-    def _sum_length(self) -> int:
-        terms = self._terms
-        if self._cache.get("disjoint") or _pairwise_disjoint(terms):
+    @_memo("length")
+    def _length(self) -> int:
+        terms = self._children
+        if self._kind == _KIND_PRODUCT:
+            if self._injective:
+                return math.prod(f.length() for f in terms)
+            return len(self.expand())
+        if self._disjoint or _pairwise_disjoint(terms):
             return sum(t.length() for t in terms)
         # Singleton terms can be resolved by exact membership tests.
         singles = [t for t in terms if t.is_singleton()]
@@ -412,74 +378,59 @@ class Poly:
     def tau(self, g: str) -> int:
         return self._top_stats(g)[1]
 
+    @_memo("top")
     def _top_stats(self, g: str) -> tuple[int, int]:
         """Exact (max multiplicity of g, number of words attaining it).
 
         Convention for the zero polynomial: (0, 0).
         """
-        key = ("top", g)
-        v = self._cache.get(key)
-        if v is not None:
-            return v
-        v = self._top_stats_uncached(g)
-        self._cache[key] = v
-        return v
-
-    def _top_stats_uncached(self, g: str) -> tuple[int, int]:
         if self._kind == _KIND_EXPLICIT:
             if not self._words:
                 return (0, 0)
-            m = max(w.count(g) for w in self._words)
-            return (m, sum(1 for w in self._words if w.count(g) == m))
+            counts = [w.count(g) for w in self._words]
+            m = max(counts)
+            return (m, counts.count(m))
+        children = self._children
+        parts = [c._top_stats(g) for c in children]
         if self._kind == _KIND_PRODUCT:
-            parts = [f._top_stats(g) for f in self._factors]
-            m = sum(p[0] for p in parts)
+            # The top slice of a product is the product of the top slices.
             if self._injective:
-                t = 1
-                for p in parts:
-                    t *= p[1]
-                return (m, t)
-            slices = [f.slice(g, p[0]) for f, p in zip(self._factors, parts)]
-            top = _make_product(slices)
-            if top._kind != _KIND_PRODUCT or top._injective:
-                return (m, top.length())
-            return _explicit_top(self.expand(), g)
+                t = math.prod(p[1] for p in parts)
+            else:
+                slices = [c.slice(g, p[0]) for c, p in zip(children, parts)]
+                t = _make_product(slices).length()
+            # no zero divisors: t is 0 only when a factor is zero
+            return (sum(p[0] for p in parts), t) if t else (0, 0)
         # Sum node.  Words with fewer than the maximal multiplicity can never
         # cancel against words attaining it, so lower terms are irrelevant.
-        stats = [
-            (t, t._top_stats(g))
-            for t in self._terms
-            if not _definitely_zero(t)
-        ]
-        if not stats:
-            return (0, 0)
-        m = max(s[1][0] for s in stats)
-        tops = [(t, s) for t, s in stats if s[0] == m]
+        m = max(p[0] for p in parts)
+        tops = [(c, p[1]) for c, p in zip(children, parts) if p[0] == m]
         if len(tops) == 1:
-            return (m, tops[0][1][1])
-        slices = [t.slice(g, m) for t, _ in tops]
+            return (m, tops[0][1])
+        slices = [c.slice(g, m) for c, _ in tops]
         if _pairwise_disjoint(slices):
-            return (m, sum(s[1] for _, s in tops))
-        return _explicit_top(self.expand(), g)
+            return (m, sum(t for _, t in tops))
+        t = _make_sum(slices).length()
+        if t:
+            return (m, t)
+        # the top slices cancel: the maximum lies lower
+        return Poly._explicit(self.expand())._top_stats(g)
 
     def slice(self, g: str, k: int) -> "Poly":
         """The sub-polynomial of words with exactly k occurrences of g."""
         if self._kind == _KIND_EXPLICIT:
             return Poly._explicit(frozenset(w for w in self._words if w.count(g) == k))
         if self._kind == _KIND_SUM:
-            return _make_sum([t.slice(g, k) for t in self._terms])
-        ranges = []
-        for f in self._factors:
-            lo, hi = f.count_bounds(g)
-            ranges.append(range(lo, hi + 1))
-        pieces = []
-        for combo in itertools.product(*ranges):
-            if sum(combo) != k:
-                continue
-            pieces.append(
-                _make_product([f.slice(g, c) for f, c in zip(self._factors, combo)])
-            )
-        return _make_sum(pieces)
+            return _make_sum([t.slice(g, k) for t in self._children])
+        a, b = self._children
+        alo, ahi = a.count_bounds(g)
+        blo, bhi = b.count_bounds(g)
+        return _make_sum(
+            [
+                _make_product([a.slice(g, i), b.slice(g, k - i)])
+                for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
+            ]
+        )
 
     # -- algebra -----------------------------------------------------------
 
@@ -490,8 +441,10 @@ class Poly:
         return mul(self, other)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Letter-wise renaming; the mapping must be injective on the alphabet."""
-        relevant = {a: b for a, b in mapping.items() if a in self.alphabet()}
+        """Letter-wise renaming; the mapping must be injective on the alphabet.
+        A bijective renaming keeps every certificate."""
+        alphabet = self.alphabet()
+        relevant = {a: b for a, b in mapping.items() if a in alphabet}
         if not relevant:
             return self
         values = list(relevant.values())
@@ -499,52 +452,32 @@ class Poly:
             raise BadGeneratorName("renaming is not injective")
         for target in values:
             check_name(target)
-            if target in self.alphabet() and target not in relevant:
+            if target in alphabet and target not in relevant:
                 raise BadGeneratorName(
                     f"renaming collides with existing generator {target!r}"
                 )
-        if self._kind == _KIND_EXPLICIT:
+
+        def leaf(p: Poly) -> Poly:
             return Poly._explicit(
-                frozenset(tuple(relevant.get(c, c) for c in w) for w in self._words)
+                frozenset(tuple(relevant.get(c, c) for c in w) for w in p._words)
             )
-        clone = Poly(_MAKE)
-        clone._kind = self._kind
-        clone._injective = self._injective
-        if self._kind == _KIND_PRODUCT:
-            clone._factors = tuple(f.rename(relevant) for f in self._factors)
-        else:
-            clone._terms = tuple(t.rename(relevant) for t in self._terms)
-        return clone
+
+        def node(p: Poly, children: list[Poly]) -> Poly:
+            q = _node(p._kind, tuple(children))
+            q._injective |= p._injective
+            q._disjoint |= p._disjoint
+            return q
+
+        return _rebuild(self, relevant, leaf, node)
 
     # -- comparison / display ----------------------------------------------
-
-    def _struct_eq(self, other: "Poly") -> bool | None:
-        """True when structurally identical; None when undecided."""
-        if self is other:
-            return True
-        if self._kind != other._kind:
-            return None
-        if self._kind == _KIND_EXPLICIT:
-            return self._words == other._words
-        if self._kind == _KIND_PRODUCT:
-            if len(self._factors) != len(other._factors):
-                return None
-            oks = [a._struct_eq(b) for a, b in zip(self._factors, other._factors)]
-        else:
-            if len(self._terms) != len(other._terms):
-                return None
-            oks = [a._struct_eq(b) for a, b in zip(self._terms, other._terms)]
-        if all(ok is True for ok in oks):
-            return True
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        s = self._struct_eq(other)
-        if s is True:
-            return True
-        return self.expand() == other.expand()
+        # Equal composite structures are one interned node, and an explicit
+        # node's token is its word set.
+        return self._token == other._token or self.expand() == other.expand()
 
     def __hash__(self) -> int:
         return hash(self.expand())
@@ -565,28 +498,81 @@ class _Make:
 _MAKE = _Make()
 
 
+def _concat(a: frozenset[Word], b: frozenset[Word]) -> frozenset[Word]:
+    """All concatenations u v, reduced mod 2."""
+    acc: set[Word] = set()
+    for u in a:
+        for v in b:
+            w = u + v
+            if w in acc:
+                acc.discard(w)
+            else:
+                acc.add(w)
+    return frozenset(acc)
+
+
 def _definitely_zero(p: Poly) -> bool:
-    """Cheap conservative zero test: never expands.  A False answer only
-    means "possibly nonzero"; callers use it for shortcuts, not semantics."""
-    if p._kind == _KIND_EXPLICIT:
-        return not p._words
-    if p._kind == _KIND_PRODUCT:
-        return any(_definitely_zero(f) for f in p._factors)
-    return all(_definitely_zero(t) for t in p._terms)
+    """Cheap zero test.  The constructors never give a composite node a
+    zero child, so only an empty explicit node is certainly zero."""
+    return p._kind == _KIND_EXPLICIT and not p._words
+
 
 _ZERO = Poly._explicit(frozenset())
 _ONE = Poly._explicit(frozenset({EMPTY_WORD}))
 
 
-# -- node construction with cancellation certificates ------------------------
+# -- hash-consed node construction ---------------------------------------------
+#
+# Composite nodes are interned as in Filliatre & Conchon, "Type-safe modular
+# hash-consing" (ML Workshop 2006): one live node per shallow key (kind,
+# child tokens), so equal structures are one object and their statistics
+# are computed once.  The table holds its nodes weakly, so a node dies with
+# its last user.  Explicit nodes are not interned: their word set is their
+# token, and hashing a frozenset is cached by the interpreter.
+
+_NODES: "weakref.WeakValueDictionary[tuple, Poly]" = weakref.WeakValueDictionary()
+_SERIALS = itertools.count()
+
+
+def _node(kind: str, children: tuple[Poly, ...]) -> Poly:
+    key = (kind, *(c._token for c in children))
+    node = _NODES.get(key)
+    if node is None:
+        node = Poly(_MAKE)
+        node._kind = kind
+        node._children = children
+        node._token = next(_SERIALS)
+        if kind == _KIND_PRODUCT:
+            node._injective = _pair_injective(*children)
+        _NODES[key] = node
+    return node
+
+
+def _rebuild(p: Poly, letters, leaf, node) -> Poly:
+    """Map the DAG under p bottom-up, visiting each shared node once.
+    Subterms that use none of `letters` are kept; explicit ones go through
+    leaf(q), composite ones through node(q, mapped children)."""
+    done: dict = {}
+
+    def walk(q: Poly) -> Poly:
+        if q.alphabet().isdisjoint(letters):
+            return q
+        if q._kind == _KIND_EXPLICIT:
+            return leaf(q)
+        out = done.get(q._token)
+        if out is None:
+            out = done[q._token] = node(q, [walk(c) for c in q._children])
+        return out
+
+    return walk(p)
+
+
+# -- cancellation certificates ------------------------------------------------
 
 
 def _pairwise_disjoint(polys) -> bool:
     polys = [p for p in polys if not _definitely_zero(p)]
-    for a, b in itertools.combinations(polys, 2):
-        if not _certainly_disjoint(a, b):
-            return False
-    return True
+    return all(_certainly_disjoint(a, b) for a, b in itertools.combinations(polys, 2))
 
 
 def _certainly_disjoint(a: Poly, b: Poly) -> bool:
@@ -595,73 +581,31 @@ def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     blo, bhi = b.len_bounds()
     if ahi < blo or bhi < alo:
         return True
-    for letter in _candidate_letters(a.alphabet() - b.alphabet()):
-        if a.count_bounds(letter)[0] >= 1:
-            return True
-    for letter in _candidate_letters(b.alphabet() - a.alphabet()):
-        if b.count_bounds(letter)[0] >= 1:
-            return True
+    # a letter every word of one side carries, absent from the other side
+    if not a.mandatory() <= b.alphabet() or not b.mandatory() <= a.alphabet():
+        return True
     if a.is_explicit and b.is_explicit:
-        return not (a._words & b._words)
+        return a._words.isdisjoint(b._words)
     return False
 
 
-def _candidate_letters(letters: frozenset[str], limit: int = 24):
-    return itertools.islice(sorted(letters), limit)
-
-
-class _PrefixProfile:
-    """Superset-sound profile of the partial product f1 ... fi."""
-
-    def __init__(self):
-        self.alphabet: frozenset[str] = frozenset()
-        self.factors: list[Poly] = []
-        self.singleton = True
-        self.may_unit = True
-
-    def absorb(self, f: Poly) -> None:
-        self.alphabet |= f.alphabet()
-        self.factors.append(f)
-        self.singleton = self.singleton and f.is_singleton()
-        self.may_unit = self.may_unit and f.may_unit()
-
-    def count_bounds(self, letter: str) -> tuple[int, int]:
-        lo = hi = 0
-        for f in self.factors:
-            flo, fhi = f.count_bounds(letter)
-            lo += flo
-            hi += fhi
-        return (lo, hi)
-
-    def last_letters(self) -> tuple[frozenset[str], bool]:
-        letters: set[str] = set()
-        empty_ok = True
-        for f in reversed(self.factors):
-            fl, fe = f.may_last_letters()
-            letters |= fl
-            if not fe:
-                empty_ok = False
-                break
-        return (frozenset(letters), empty_ok)
-
-
-def _pair_injective(prefix: _PrefixProfile, g: Poly) -> bool:
-    """Certificate that (w, v) -> w v is injective on prefix-words x g-words."""
+def _pair_injective(a: Poly, g: Poly) -> bool:
+    """Certificate that (w, v) -> w v is injective on a-words x g-words."""
     # Disjoint alphabets: the namespace of each letter recovers the split.
-    if not (prefix.alphabet & g.alphabet()):
+    if a.alphabet().isdisjoint(g.alphabet()):
         return True
     # A singleton side fixes the split position.
-    if prefix.singleton or g.is_singleton():
+    if a.is_singleton() or g.is_singleton():
         return True
     # Right suffix marker: every nonempty g-word ends with a letter delta that
-    # the prefix never uses, carries it exactly once, and no nonempty g-word
-    # is a proper suffix of another.
+    # a never uses, carries it exactly once, and no nonempty g-word is a
+    # proper suffix of another.
     if g.is_explicit and len(g._words) <= 32:
         nonempty = [w for w in g._words if w]
         if nonempty:
             delta = nonempty[0][-1]
             if (
-                delta not in prefix.alphabet
+                delta not in a.alphabet()
                 and all(w[-1] == delta and w.count(delta) == 1 for w in nonempty)
                 and not any(
                     len(u) < len(v) and v[len(v) - len(u) :] == u
@@ -670,84 +614,64 @@ def _pair_injective(prefix: _PrefixProfile, g: Poly) -> bool:
                 )
             ):
                 return True
-    # Left suffix marker: every prefix-word ends with the same letter delta,
+    # Left suffix marker: every a-word ends with the same letter delta,
     # contains it exactly once, and g never uses delta; split after delta.
-    last, empty_ok = prefix.last_letters()
-    if not empty_ok and len(last) == 1:
+    last = a.end_letters(-1)
+    if not a.may_unit() and len(last) == 1:
         (delta,) = last
-        if delta not in g.alphabet() and prefix.count_bounds(delta) == (1, 1):
+        if delta not in g.alphabet() and a.count_bounds(delta) == (1, 1):
             return True
     # Mirror: every nonempty g-word starts with a unique marker letter.
-    first, g_empty = g.may_first_letters()
+    first = g.end_letters(0)
     if len(first) == 1:
         (delta,) = first
-        if delta not in prefix.alphabet:
+        if delta not in a.alphabet():
             glo, ghi = g.count_bounds(delta)
-            if ghi == 1 and (g_empty or glo == 1):
+            if ghi == 1 and (g.may_unit() or glo == 1):
                 return True
     return False
 
 
-def _make_product(factors: Iterable[Poly]) -> Poly:
-    flat: list[Poly] = []
+def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
+    """Left fold of binary product nodes.  `injective` asserts the
+    certificate on every fold: a concatenation map injective on all the
+    factors is injective on each prefix of them."""
+    node = _ONE
     for f in factors:
         if _definitely_zero(f):
             return _ZERO
-        if f._kind == _KIND_EXPLICIT and f._words == _ONE._words:
+        if f._words == _ONE._words:
             continue
-        # nested products stay nested: a factor whose words all end (or
-        # start) with a marker letter keeps that shape visible to the
-        # injectivity certificates below
-        flat.append(f)
-    if not flat:
-        return _ONE
-    if len(flat) == 1:
-        return flat[0]
-    prefix = _PrefixProfile()
-    prefix.absorb(flat[0])
-    injective = True
-    for f in flat[1:]:
-        if injective and not _pair_injective(prefix, f):
-            injective = False
-        prefix.absorb(f)
-    node = Poly(_MAKE)
-    node._kind = _KIND_PRODUCT
-    node._factors = tuple(flat)
-    node._injective = injective
+        if node is _ONE:
+            node = f
+            continue
+        node = _node(_KIND_PRODUCT, (node, f))
+        if injective:
+            node._injective = True
     return node
 
 
 def _make_sum(terms: Iterable[Poly]) -> Poly:
-    flat: list[Poly] = []
     explicit: set[Word] = set()
+    symbolic: dict = {}
     for t in terms:
-        if _definitely_zero(t):
-            continue
-        if t._kind == _KIND_SUM:
-            subs = t._terms
-        else:
-            subs = (t,)
+        # a certified-disjoint sum stays one term, keeping its certificate
+        subs = t._children if t._kind == _KIND_SUM and not t._disjoint else (t,)
         for s in subs:
             if s._kind == _KIND_EXPLICIT and len(s._words) + len(explicit) <= LAZY_THRESHOLD:
                 explicit ^= s._words
+            elif s._token in symbolic:
+                del symbolic[s._token]  # identical terms cancel in pairs
             else:
-                # identical symbolic terms cancel in pairs
-                for i, existing in enumerate(flat):
-                    if existing._struct_eq(s) is True:
-                        del flat[i]
-                        break
-                else:
-                    flat.append(s)
+                symbolic[s._token] = s
+    flat = list(symbolic.values())
     if explicit:
         flat.insert(0, Poly._explicit(frozenset(explicit)))
     if not flat:
         return _ZERO
     if len(flat) == 1:
         return flat[0]
-    node = Poly(_MAKE)
-    node._kind = _KIND_SUM
-    node._terms = tuple(flat)
-    return node
+    return _node(_KIND_SUM, tuple(flat))
 
 
 def unsafe_injective_product(factors: Iterable[Poly]) -> Poly:
@@ -757,10 +681,7 @@ def unsafe_injective_product(factors: Iterable[Poly]) -> Poly:
     where the generic certificates cannot; a wrong assertion makes length
     and tau queries wrong, so every call site must carry a proof sketch.
     """
-    node = _make_product(factors)
-    if node._kind == _KIND_PRODUCT:
-        node._injective = True
-    return node
+    return _make_product(factors, injective=True)
 
 
 def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
@@ -774,10 +695,8 @@ def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
         return _ZERO
     if len(terms) == 1:
         return terms[0]
-    node = Poly(_MAKE)
-    node._kind = _KIND_SUM
-    node._terms = tuple(terms)
-    node._cache["disjoint"] = True
+    node = _node(_KIND_SUM, tuple(terms))
+    node._disjoint = True
     return node
 
 
@@ -803,22 +722,14 @@ def mul(p: Poly, q: Poly) -> Poly:
     """Product: all pairwise concatenations, reduced mod 2."""
     if _definitely_zero(p) or _definitely_zero(q):
         return _ZERO
-    if p is _ONE or (p._kind == _KIND_EXPLICIT and p._words == _ONE._words):
+    # a composite node's _words is empty, so this tests for the unit
+    if p._words == _ONE._words:
         return q
-    if q is _ONE or (q._kind == _KIND_EXPLICIT and q._words == _ONE._words):
+    if q._words == _ONE._words:
         return p
-    bound = p.size_bound() * q.size_bound()
-    if bound <= LAZY_THRESHOLD:
-        acc: set[Word] = set()
-        for wp in p.expand():
-            for wq in q.expand():
-                w = wp + wq
-                if w in acc:
-                    acc.discard(w)
-                else:
-                    acc.add(w)
-        return Poly._explicit(frozenset(acc))
-    return _make_product([p, q])
+    if p.size_bound() * q.size_bound() <= LAZY_THRESHOLD:
+        return Poly._explicit(_concat(p.expand(), q.expand()))
+    return _node(_KIND_PRODUCT, (p, q))
 
 
 def length(p: Poly) -> int:
@@ -831,13 +742,6 @@ def max_count(p: Poly, g: str) -> int:
 
 def tau(p: Poly, g: str) -> int:
     return p.tau(check_name(g))
-
-
-def _explicit_top(words: frozenset[Word], g: str) -> tuple[int, int]:
-    if not words:
-        return (0, 0)
-    m = max(w.count(g) for w in words)
-    return (m, sum(1 for w in words if w.count(g) == m))
 
 
 class AlgebraMap:
@@ -863,25 +767,17 @@ class AlgebraMap:
         return frozenset(self.assignments)
 
     def apply(self, p: Poly) -> Poly:
-        keys = self.assignments.keys()
-        if not keys or p.alphabet().isdisjoint(keys):
-            return p
         if p._kind == _KIND_EXPLICIT:
-            acc = _ZERO
-            for w in p._words:
-                img = _ONE
-                for c in w:
-                    img = mul(img, self(c))
-                acc = add(acc, img)
-            return acc
-        if p._kind == _KIND_PRODUCT:
-            out = _ONE
-            for f in p._factors:
-                out = mul(out, self.apply(f))
-            return out
+            return p if p.alphabet().isdisjoint(self.assignments) else self._apply_words(p)
+        return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
+
+    def _apply_words(self, p: Poly) -> Poly:
         acc = _ZERO
-        for t in p._terms:
-            acc = add(acc, self.apply(t))
+        for w in p._words:
+            img = _ONE
+            for c in w:
+                img = mul(img, self(c))
+            acc = add(acc, img)
         return acc
 
     def compose(self, inner: "AlgebraMap") -> "AlgebraMap":
@@ -910,6 +806,12 @@ class AlgebraMap:
             for g, img in sorted(self.assignments.items())
         )
         return f"AlgebraMap({{{parts}}})"
+
+
+def _apply_node(p: Poly, children: list[Poly]) -> Poly:
+    if p._kind == _KIND_PRODUCT:
+        return functools.reduce(mul, children)
+    return functools.reduce(add, children)
 
 
 def apply_map(m: AlgebraMap, p: Poly) -> Poly:

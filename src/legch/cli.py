@@ -37,7 +37,7 @@ from .dga import (
     dga_to_dict,
 )
 from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, run_script
-from .obstruction import family_verdicts, family_dga
+from .obstruction import family_dga, verdict
 from .moves import kalman_monodromy
 from . import verify as verify_mod
 
@@ -46,11 +46,6 @@ AUDIT_CAP = 200_000
 
 def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-
-def _read_doc(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
 
 
 class _Run:
@@ -63,7 +58,11 @@ class _Run:
         self.outputs: dict[str, str] = {}
 
     def read(self, path: str):
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
         self.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
         return json.loads(text)
 
@@ -176,13 +175,11 @@ def cmd_script(run: _Run, args) -> int:
 
 def cmd_verdict(run: _Run, args) -> int:
     summands = tuple(int(x) for x in args.fly.split(",") if x)
-    powers = tuple(args.power)
-    table = family_verdicts(summands, powers, args.witness, args.marker)
-    _, fly_word = family_dga(summands)
+    dga, fly_word = family_dga(summands)
     entries = []
-    for j in sorted(table):
-        v = table[j]
+    for j in sorted(set(args.power)):
         mu = kalman_monodromy(fly_word, j)
+        v = verdict(dga, mu, args.witness, args.marker)
         moved = mu(args.witness)
         audit: dict = {"length": None, "poly": None}
         try:

@@ -96,8 +96,10 @@ class Dga:
     def word_degree_bounds(self, p: Poly) -> tuple[int, int]:
         """Bounds on the total degree of words of p (exact on explicit sets)."""
         degs = {g.name: g.degree for g in self.generators}
+        # A symbolic alphabet is a superset: a letter that cancelled out of
+        # every word contributes nothing.
         for c in p.alphabet():
-            if c not in degs:
+            if c not in degs and p.max_count(c) > 0:
                 raise UnknownGenerator(c)
         if p.is_explicit:
             ws = p.words()
@@ -106,7 +108,7 @@ class Dga:
             vals = [sum(degs[c] for c in w) for w in ws]
             return (min(vals), max(vals))
         lo = hi = 0
-        nonzero = [c for c in p.alphabet() if degs[c] != 0]
+        nonzero = [c for c in p.alphabet() if degs.get(c, 0) != 0]
         for c in nonzero:
             clo, chi = p.count_bounds(c)
             d = degs[c]

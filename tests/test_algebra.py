@@ -14,6 +14,8 @@ from legch.algebra import (
     mul,
     poly_from_str,
     poly_to_str,
+    unsafe_disjoint_sum,
+    unsafe_injective_product,
 )
 
 
@@ -221,3 +223,30 @@ class TestRename:
     def test_not_injective(self):
         with pytest.raises(algebra.BadGeneratorName):
             P("a + b").rename({"a": "c", "b": "c"})
+
+
+class TestHashConsing:
+    def test_equal_products_are_one_node(self, monkeypatch):
+        lazy(monkeypatch)
+        p = mul(P("a + b"), P("c + d"))
+        assert not p.is_explicit
+        assert mul(P("a + b"), P("c + d")) is p
+
+    def test_equal_symbolic_values_cancel(self, monkeypatch):
+        lazy(monkeypatch)
+        p = add(mul(P("a + b"), P("c")), P("d"))
+        q = add(mul(P("a + b"), P("c")), P("d"))
+        assert not p.is_explicit
+        assert add(p, q) is Poly.zero()
+
+    def test_rename_keeps_certificates(self, monkeypatch):
+        lazy(monkeypatch)
+        # x y-words whose concatenations are distinct, but which no generic
+        # certificate recognizes; the two summands share no word
+        cross = unsafe_injective_product([P("x + y x"), P("x + x y")])
+        s = unsafe_disjoint_sum([cross, mul(P("y"), P("x + x y"))])
+        want = s.expand()
+        # from here on any expansion raises: only the certificates can answer
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 1)
+        ren = s.rename({"x": "u", "y": "v"})
+        assert ren.length() == s.length() == len(want) == 6

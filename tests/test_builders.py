@@ -46,6 +46,11 @@ class TestPathMatrix:
     def test_n5_lengths(self):
         assert path_matrix(5).lengths() == (8, 5, 5, 3)
 
+    def test_lengths_past_expansion(self):
+        # each term of an entry carries a letter the others lack, found
+        # among all of its mandatory letters
+        assert path_matrix(61).lengths() == fibonacci_lengths(61)
+
     def test_too_small(self):
         with pytest.raises(TooSmall):
             path_matrix(0)
@@ -116,6 +121,12 @@ class TestTangle:
     def test_odd_word_lengths(self):
         for n in (3, 7, 9):
             assert torus_tangle(n, "").word.length() % 2 == 1
+
+    @pytest.mark.parametrize("n", [21, 41, 61])
+    def test_word_length_keeps_certificates(self, n):
+        # renaming and adding the unit keep d(a2)'s certificates
+        word = torus_tangle(n, "k1").word
+        assert word.length() == torus_knot_dga(n).d("a2").length() + 1
 
     def test_closure_referenced(self):
         dga = Dga(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from legch import algebra
 from legch.algebra import AlgebraMap, Poly, add, compose, mul, poly_from_str
 from legch.builders import torus_tangle
 from legch.dga import Dga, Generator
@@ -194,6 +195,21 @@ class TestRunScript:
         script = MoveScript(state, (RIIInv("x", "y"),), "formal")
         mono = run_script(script)
         assert mono.map("x") == Poly.zero()
+
+    def test_born_generator_cancelled_from_symbolic_image(self, monkeypatch):
+        # y is born by RII and substituted away by RIIInv; the symbolic image
+        # of g2 may still list y in its alphabet, with count 0
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        script = MoveScript(
+            degree_zero_dga("g0", "g1", "g2", "g3"),
+            (
+                RII(Generator("x", 1), Generator("y", 0), {"x": P("y + g0 g1")}),
+                RIIIb("g2", "y", "g3"),
+                RIIInv("x", "y"),
+            ),
+            "verified",
+        )
+        assert run_script(script).map("g2") == P("g2 + g3 g0 g1")
 
 
 class TestFlyFixed:

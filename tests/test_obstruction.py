@@ -122,3 +122,9 @@ class TestTauValues:
         mu = kalman_monodromy(fly_word, 3)
         value = add(mu("b3"), Poly.gen("b3")).tau("b3")
         assert value == 2 * fly_word.length() ** 2 + 1
+
+    def test_j4_value_is_even(self):
+        # pinned: at j = 4 the fly 3 gives an even tau, so nothing is certified
+        v = family_verdicts((3,), (4,))[4]
+        assert v.tau_value == 250
+        assert v.conclusion == "inconclusive"
