@@ -10,9 +10,8 @@ degree-1 crossing a with d(a) = 1 + W_1 ... W_k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     Poly,
@@ -24,7 +23,7 @@ from .algebra import (
     unsafe_disjoint_sum,
     unsafe_injective_product,
 )
-from .dga import Dga, DgaError, Generator, UnknownGenerator
+from .dga import Dga, DgaError, Generator, dga_from_dict, dga_to_dict
 
 
 class BuilderError(DgaError):
@@ -148,8 +147,6 @@ def _prefixed(prefix: str, name: str) -> str:
 
 
 def tangle_from_knot(dga: Dga, closure: str, prefix: str) -> Tangle:
-    if closure not in dga.names:
-        raise UnknownGenerator(closure)
     if dga.degree(closure) != 1:
         raise NotDegreeOne(
             f"closure crossing {closure!r} has degree {dga.degree(closure)}"
@@ -161,19 +158,14 @@ def tangle_from_knot(dga: Dga, closure: str, prefix: str) -> Tangle:
         check_name(prefix)
         if "." in prefix:
             raise BuilderError(f"prefix may not contain '.': {prefix!r}")
-    renaming = {g.name: _prefixed(prefix, g.name) for g in dga.generators}
-    word = add(dga.d(closure), Poly.one()).rename(renaming)
-    gens = tuple(
-        Generator(renaming[g.name], g.degree, g.height)
-        for g in dga.generators
-        if g.name != closure
+    renamed = dga.rename({g.name: _prefixed(prefix, g.name) for g in dga.generators})
+    closure = _prefixed(prefix, closure)
+    internal = Dga(
+        tuple(g for g in renamed.generators if g.name != closure),
+        {name: p for name, p in renamed.differential.items() if name != closure and p},
+        dga.rotation_zero,
     )
-    diff = {
-        renaming[name]: image.rename(renaming)
-        for name, image in dga.differential.items()
-        if name != closure and image
-    }
-    return Tangle(Dga(gens, diff, dga.rotation_zero), word, prefix)
+    return Tangle(internal, add(renamed.d(closure), Poly.one()), prefix)
 
 
 def torus_tangle(n: int, prefix: str) -> Tangle:
@@ -230,8 +222,6 @@ def is_even_delta_class(dga: Dga) -> tuple[bool, list[str]]:
 
 
 def tangle_to_dict(t: Tangle) -> dict:
-    from .dga import dga_to_dict
-
     return {
         "schema": "tangle.v1",
         "internal": dga_to_dict(t.internal),
@@ -241,8 +231,6 @@ def tangle_to_dict(t: Tangle) -> dict:
 
 
 def tangle_from_dict(data: Mapping) -> Tangle:
-    from .dga import dga_from_dict
-
     if data.get("schema", "tangle.v1") != "tangle.v1":
         raise BuilderError(f"unsupported schema {data.get('schema')!r}")
     try:

@@ -14,10 +14,9 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .algebra import AlgebraMap, AlgebraError, ExpansionTooLarge, poly_from_str, poly_to_str
+from .algebra import AlgebraError, ExpansionTooLarge, poly_from_str, poly_to_str
 from .builders import (
     connect_sum,
     fibonacci_lengths,
@@ -28,18 +27,10 @@ from .builders import (
     tangle_to_dict,
     torus_knot_dga,
 )
-from .dga import (
-    Dga,
-    DgaError,
-    Generator,
-    check_dga,
-    dga_from_dict,
-    dga_to_dict,
-)
-from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, run_script
+from .dga import DgaError, dga_from_dict, dga_to_dict, generator_from_dict
+from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, kalman_monodromy, run_script
 from .obstruction import family_dga, verdict
-from .moves import kalman_monodromy
-from . import verify as verify_mod
+from .verify import CRITERIA
 
 AUDIT_CAP = 200_000
 
@@ -138,13 +129,9 @@ def _event_from_dict(entry: dict):
     if kind == "Relabel":
         return Relabel(dict(entry["perm"]))
     if kind == "RII":
-        def gen(d):
-            h = Fraction(d["height"]) if "height" in d else None
-            return Generator(d["name"], int(d["degree"]), h)
-
         return RII(
-            gen(entry["x"]),
-            gen(entry["y"]),
+            generator_from_dict(entry["x"]),
+            generator_from_dict(entry["y"]),
             {k: poly_from_str(v) for k, v in entry.get("new_differentials", {}).items()},
         )
     raise DgaError(f"unknown event type {kind!r}")
@@ -154,11 +141,14 @@ def cmd_script(run: _Run, args) -> int:
     doc = run.read(args.input)
     if doc.get("schema", "script.v1") != "script.v1":
         raise DgaError(f"unsupported schema {doc.get('schema')!r}")
-    script = MoveScript(
-        dga_from_dict(doc["initial"]),
-        tuple(_event_from_dict(e) for e in doc["events"]),
-        doc.get("mode", "verified"),
-    )
+    try:
+        script = MoveScript(
+            dga_from_dict(doc["initial"]),
+            tuple(_event_from_dict(e) for e in doc["events"]),
+            doc.get("mode", "verified"),
+        )
+    except (KeyError, TypeError, ValueError, DgaError) as exc:
+        raise DgaError(f"malformed script.v1 document: {exc}") from exc
     monodromy = run_script(script)
     run.emit(
         args,
@@ -173,22 +163,24 @@ def cmd_script(run: _Run, args) -> int:
     return 0
 
 
+def summands(text: str) -> tuple[int, ...]:
+    """The odd torus parameters of a comma-separated `--fly` value."""
+    return tuple(int(x) for x in text.split(",") if x)
+
+
 def cmd_verdict(run: _Run, args) -> int:
-    summands = tuple(int(x) for x in args.fly.split(",") if x)
-    dga, fly_word = family_dga(summands)
+    dga, fly_word = family_dga(args.fly)
     entries = []
     for j in sorted(set(args.power)):
         mu = kalman_monodromy(fly_word, j)
         v = verdict(dga, mu, args.witness, args.marker)
         moved = mu(args.witness)
-        audit: dict = {"length": None, "poly": None}
+        # null when counting the words would expand past EXPANSION_CAP
         try:
-            if moved.size_bound() <= AUDIT_CAP:
-                audit = {"length": moved.length(), "poly": poly_to_str(moved)}
-            else:
-                audit = {"length": moved.length(), "poly": None}
+            length = moved.length()
         except ExpansionTooLarge:
-            pass
+            length = None
+        poly = poly_to_str(moved) if moved.size_bound() <= AUDIT_CAP else None
         entries.append(
             {
                 "power": j,
@@ -197,10 +189,10 @@ def cmd_verdict(run: _Run, args) -> int:
                 "tau_value": v.tau_value,
                 "certificate_ok": v.certificate_ok,
                 "conclusion": v.conclusion,
-                "mu_witness": audit,
+                "mu_witness": {"length": length, "poly": poly},
             }
         )
-    run.emit(args, {"schema": "verdict.v1", "fly": list(summands), "entries": entries})
+    run.emit(args, {"schema": "verdict.v1", "fly": list(args.fly), "entries": entries})
     return 0 if all(e["conclusion"] == "nontrivial" for e in entries) else 1
 
 
@@ -215,25 +207,9 @@ def cmd_verify(run: _Run, args) -> int:
             rows.append({"n": n, "lengths": list(got), "predicted": list(want)})
         run.emit(args, {"schema": "verify.v1", "target": "fibonacci", "ok": ok, "rows": rows})
         return 0 if ok else 1
-    names = {
-        "trefoil": 0,
-        "lengths": 1,
-        "class": 2,
-        "sums": 3,
-        "tau": 4,
-        "monodromy": 5,
-        "holonomy": 6,
-        "properties": 7,
-    }
-    if args.target == "all":
-        results = verify_mod.run_all()
-    elif args.target in names:
-        results = [verify_mod.CRITERIA[names[args.target]]()]
-    else:
-        print(f"unknown verify target {args.target!r}", file=sys.stderr)
-        return 2
+    criteria = CRITERIA.values() if args.target == "all" else [CRITERIA[args.target]]
     all_ok = True
-    for name, ok, details, elapsed in results:
+    for name, ok, details, elapsed in (fn() for fn in criteria):
         status = "PASS" if ok else "FAIL"
         all_ok = all_ok and ok
         print(f"{status} {name} ({elapsed:.3f}s): {details}")
@@ -291,7 +267,9 @@ def _parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=cmd_script)
 
     p = sub.add_parser("verdict", help="tau-parity verdicts for Kalman loop powers")
-    p.add_argument("--fly", required=True, help="comma-separated odd torus parameters")
+    p.add_argument(
+        "--fly", type=summands, required=True, help="comma-separated odd torus parameters"
+    )
     p.add_argument(
         "--power",
         type=int,
@@ -305,7 +283,13 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verdict)
 
     p = sub.add_parser("verify", help="reproduce the acceptance tables")
-    p.add_argument("target", nargs="?", default="all", help="all, fibonacci, or a criterion name")
+    p.add_argument(
+        "target",
+        nargs="?",
+        default="all",
+        choices=["all", "fibonacci", *CRITERIA],
+        help="all, fibonacci, or a criterion name",
+    )
     p.add_argument("--max-n", type=int, default=20, help="upper n for the fibonacci table")
     common(p)
     p.set_defaults(fn=cmd_verify)
@@ -317,6 +301,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.fn is cmd_verify and args.emit and args.target != "fibonacci":
+        parser.error("--emit applies only to `verify fibonacci`")
     if getattr(args, "power", "missing") is None:
         args.power = [1, 2, 3]
     run = _Run(["legch"] + argv)

@@ -9,7 +9,6 @@ than raised, so corpora can be triaged in one pass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -59,33 +58,53 @@ class Dga:
     generators: tuple[Generator, ...]
     differential: dict[str, Poly]
     rotation_zero: bool = True
+    # name -> generator and the name set, built once per DGA
+    _index: dict[str, Generator] = field(init=False, repr=False, compare=False)
+    names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        index = {g.name: g for g in self.generators}
+        if len(index) != len(self.generators):
             raise DgaError("duplicate generator names")
-        declared = set(names)
         for name in self.differential:
-            if name not in declared:
+            if name not in index:
                 raise UnknownGenerator(f"differential given for undeclared {name!r}")
-
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(g.name for g in self.generators)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "names", frozenset(index))
 
     def generator(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise UnknownGenerator(name)
+        try:
+            return self._index[name]
+        except KeyError:
+            raise UnknownGenerator(name) from None
 
     def degree(self, name: str) -> int:
         return self.generator(name).degree
 
     def d(self, name: str) -> Poly:
-        if name not in self.names:
+        if name not in self._index:
             raise UnknownGenerator(name)
         return self.differential.get(name, Poly.zero())
+
+    def rename(self, mapping: Mapping[str, str]) -> Dga:
+        """The DGA with generators renamed old -> new by `mapping`; the
+        mapping must be injective and may not hit an unmoved generator.
+        Every image goes through Poly.rename, which keeps certificates."""
+        for old in mapping:
+            if old not in self._index:
+                raise UnknownGenerator(old)
+        targets = set(mapping.values())
+        if len(targets) != len(mapping):
+            raise DgaError("renaming is not injective")
+        clash = targets & (self.names - mapping.keys())
+        if clash:
+            raise DgaError(f"renaming targets collide with {sorted(clash)}")
+        gens = tuple(
+            Generator(mapping.get(g.name, g.name), g.degree, g.height)
+            for g in self.generators
+        )
+        diff = {mapping.get(n, n): p.rename(mapping) for n, p in self.differential.items()}
+        return Dga(gens, diff, self.rotation_zero)
 
     def has_heights(self) -> bool:
         return all(g.height is not None for g in self.generators)
@@ -95,23 +114,23 @@ class Dga:
 
     def word_degree_bounds(self, p: Poly) -> tuple[int, int]:
         """Bounds on the total degree of words of p (exact on explicit sets)."""
-        degs = {g.name: g.degree for g in self.generators}
+        index = self._index
         # A symbolic alphabet is a superset: a letter that cancelled out of
         # every word contributes nothing.
         for c in p.alphabet():
-            if c not in degs and p.max_count(c) > 0:
+            if c not in index and p.max_count(c) > 0:
                 raise UnknownGenerator(c)
         if p.is_explicit:
             ws = p.words()
             if not ws:
                 return (0, 0)
-            vals = [sum(degs[c] for c in w) for w in ws]
+            vals = [sum(index[c].degree for c in w) for w in ws]
             return (min(vals), max(vals))
         lo = hi = 0
-        nonzero = [c for c in p.alphabet() if degs.get(c, 0) != 0]
+        nonzero = [c for c in p.alphabet() if c in index and index[c].degree != 0]
         for c in nonzero:
             clo, chi = p.count_bounds(c)
-            d = degs[c]
+            d = index[c].degree
             if d > 0:
                 lo += clo * d
                 hi += chi * d
@@ -154,63 +173,64 @@ def check_dga(dga: Dga) -> ValidationReport:
     """Exhaustive validity report: declaredness, degree drop, d^2 = 0,
     and height monotonicity (skipped when heights are absent)."""
     report = ValidationReport()
-    declared = dga.names
     if not dga.rotation_zero:
         report.violations.append(
             "rotation_zero is false: the grading is not well-defined"
         )
     for name, image in dga.differential.items():
-        extra = image.alphabet() - declared
+        extra = image.alphabet() - dga.names
         if extra:
             report.violations.append(
                 f"d({name}) mentions undeclared generators {sorted(extra)}"
             )
-    _check_degree_drop(dga, report)
-    _check_d_squared(dga, report)
-    _check_heights(dga, report)
+    # the checks below see only the nonzero images over declared generators
+    images = [
+        (g, image)
+        for g in dga.generators
+        if (image := dga.differential.get(g.name)) and not image.alphabet() - dga.names
+    ]
+    _check_degree_drop(dga, images, report)
+    _check_d_squared(dga, images, report)
+    _check_heights(dga, images, report)
     return report
 
 
-def _check_degree_drop(dga: Dga, report: ValidationReport) -> None:
-    for g in dga.generators:
-        image = dga.differential.get(g.name)
-        if image is None or not image:
-            continue
-        if image.alphabet() - dga.names:
-            continue
+def _wrong_degrees(dga: Dga, image: Poly, target: int):
+    """(lo, hi, wrong): bounds on the word degrees of image, and its words
+    whose degree is not target as (word, degree) pairs.  wrong is None for
+    a symbolic image whose bounds are not exactly target; each caller has
+    its own rule for that case."""
+    lo, hi = dga.word_degree_bounds(image)
+    if lo == hi == target:
+        return lo, hi, []
+    if not image.is_explicit:
+        return lo, hi, None
+    return lo, hi, [(w, d) for w in image.words() if (d := dga.word_degree(w)) != target]
+
+
+def _check_degree_drop(dga: Dga, images, report: ValidationReport) -> None:
+    for g, image in images:
         target = g.degree - 1
-        try:
-            lo, hi = dga.word_degree_bounds(image)
-        except UnknownGenerator:
-            continue
-        if lo == hi == target:
-            continue
-        if image.is_explicit:
-            for w in image.words():
-                if dga.word_degree(w) != target:
-                    report.violations.append(
-                        f"d({g.name}): word {' '.join(w) or '1'} has degree "
-                        f"{dga.word_degree(w)}, expected {target}"
-                    )
-        elif not (lo <= target <= hi):
-            report.violations.append(
-                f"d({g.name}): word degrees in [{lo},{hi}], expected {target}"
-            )
-        else:
+        lo, hi, wrong = _wrong_degrees(dga, image, target)
+        if wrong is None and lo <= target <= hi:
             report.skipped.append(
                 f"degree check on symbolic d({g.name}) only bounded to [{lo},{hi}]"
             )
+        elif wrong is None:
+            report.violations.append(
+                f"d({g.name}): word degrees in [{lo},{hi}], expected {target}"
+            )
+        for w, degree in wrong or ():
+            report.violations.append(
+                f"d({g.name}): word {' '.join(w) or '1'} has degree "
+                f"{degree}, expected {target}"
+            )
 
 
-def _check_d_squared(dga: Dga, report: ValidationReport) -> None:
-    for g in dga.generators:
-        image = dga.differential.get(g.name)
-        if image is None or not image:
-            continue
-        if image.alphabet() - dga.names:
-            continue
+def _check_d_squared(dga: Dga, images, report: ValidationReport) -> None:
+    for g, image in images:
         # letters whose own differential vanishes contribute nothing
-        if all(not dga.differential.get(c, Poly.zero()) for c in image.alphabet()):
+        if not any(dga.differential.get(c) for c in image.alphabet()):
             continue
         try:
             square = _leibniz(dga, image)
@@ -233,29 +253,23 @@ def _leibniz(dga: Dga, p: Poly) -> Poly:
     return acc
 
 
-def _check_heights(dga: Dga, report: ValidationReport) -> None:
-    heights = {g.name: g.height for g in dga.generators}
-    if any(h is None for h in heights.values()):
-        if any(dga.differential.get(g.name) for g in dga.generators):
+def _check_heights(dga: Dga, images, report: ValidationReport) -> None:
+    if not dga.has_heights():
+        if any(dga.differential.values()):
             report.skipped.append("height monotonicity: heights absent")
         return
-    for g in dga.generators:
-        image = dga.differential.get(g.name)
-        if image is None or not image:
-            continue
-        if image.alphabet() - dga.names:
-            continue
+    for g, image in images:
         try:
             words = image.words()
         except ExpansionTooLarge:
             report.skipped.append(f"height check on {g.name}: expansion too large")
             continue
         for w in words:
-            total = sum((heights[c] for c in w), Fraction(0))
-            if not heights[g.name] > total:
+            total = sum((dga.generator(c).height for c in w), Fraction(0))
+            if not g.height > total:
                 report.violations.append(
                     f"d({g.name}): word {' '.join(w) or '1'} has total height "
-                    f"{total}, not below {heights[g.name]}"
+                    f"{total}, not below {g.height}"
                 )
 
 
@@ -274,39 +288,24 @@ def shrink(dga: Dga, u: Fraction) -> Dga:
     return Dga(gens, dict(dga.differential), dga.rotation_zero)
 
 
-@dataclass
-class DegreeReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def apply_endomorphism(dga: Dga, m: AlgebraMap) -> DegreeReport:
+def apply_endomorphism(dga: Dga, m: AlgebraMap) -> ValidationReport:
     """Check that m preserves the grading: every word of m(g) has deg(g)."""
-    report = DegreeReport()
+    report = ValidationReport()
     for name in sorted(m.assignments):
-        if name not in dga.names:
-            raise UnknownGenerator(name)
+        target = dga.degree(name)
         image = m.assignments[name]
         if not image:
             continue
-        target = dga.degree(name)
-        lo, hi = dga.word_degree_bounds(image)
-        if lo == hi == target:
-            continue
-        if image.is_explicit:
-            for w in image.words():
-                if dga.word_degree(w) != target:
-                    report.violations.append(
-                        f"{name} -> word {' '.join(w) or '1'} of degree "
-                        f"{dga.word_degree(w)}, expected {target}"
-                    )
-        else:
+        lo, hi, wrong = _wrong_degrees(dga, image, target)
+        if wrong is None:
             report.violations.append(
                 f"{name} -> symbolic image with degree bounds [{lo},{hi}], "
                 f"expected exactly {target}"
+            )
+        for w, degree in wrong or ():
+            report.violations.append(
+                f"{name} -> word {' '.join(w) or '1'} of degree "
+                f"{degree}, expected {target}"
             )
     return report
 
@@ -331,26 +330,26 @@ def dga_to_dict(dga: Dga) -> dict:
     }
 
 
+def generator_from_dict(entry: Mapping) -> Generator:
+    """A generator from its dga.v1 entry: name, degree and optional height."""
+    height = Fraction(entry["height"]) if "height" in entry else None
+    return Generator(entry["name"], int(entry["degree"]), height)
+
+
 def dga_from_dict(data: Mapping) -> Dga:
     if data.get("schema", "dga.v1") != "dga.v1":
         raise DgaError(f"unsupported schema {data.get('schema')!r}")
     try:
-        gens = tuple(
-            Generator(
-                entry["name"],
-                int(entry["degree"]),
-                Fraction(entry["height"]) if "height" in entry else None,
-            )
-            for entry in data["generators"]
-        )
+        gens = tuple(generator_from_dict(entry) for entry in data["generators"])
         diff = {
             name: poly_from_str(text)
             for name, text in data.get("differential", {}).items()
         }
     except (KeyError, TypeError, ValueError, AlgebraError) as exc:
         raise DgaError(f"malformed dga.v1 document: {exc}") from exc
-    return Dga(gens, diff, bool(data.get("rotation_zero", True)))
-
-
-def dga_to_json(dga: Dga) -> str:
-    return json.dumps(dga_to_dict(dga), sort_keys=True, separators=(",", ": "), indent=1)
+    rotation_zero = data.get("rotation_zero", True)
+    if not isinstance(rotation_zero, bool):
+        raise DgaError(
+            f"malformed dga.v1 document: rotation_zero {rotation_zero!r} is not a boolean"
+        )
+    return Dga(gens, diff, rotation_zero)

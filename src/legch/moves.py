@@ -18,11 +18,11 @@ b3 to b1, and fixes every fly generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Union
 
 from .algebra import AlgebraMap, Poly, add, compose, mul
-from .dga import Dga, DgaError, Generator, apply_endomorphism
+from .dga import Dga, DgaError, Generator, ValidationReport, apply_endomorphism
 
 
 class MoveError(DgaError):
@@ -88,6 +88,10 @@ class MoveScript:
     events: tuple[MoveEvent, ...]
     mode: Literal["verified", "formal"] = "verified"
 
+    def __post_init__(self):
+        if self.mode not in ("verified", "formal"):
+            raise MoveError(f"mode must be 'verified' or 'formal', got {self.mode!r}")
+
 
 @dataclass(frozen=True)
 class Monodromy:
@@ -114,24 +118,12 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
         return sub, Dga(state.generators, diff, state.rotation_zero)
 
     if isinstance(event, Relabel):
-        perm = event.perm
-        _require(state, *perm.keys())
-        if len(set(perm.values())) != len(perm):
-            raise MoveError("relabel permutation is not injective")
-        unmoved = state.names - set(perm)
-        clash = set(perm.values()) & unmoved
-        if clash:
-            raise MoveError(f"relabel targets collide with {sorted(clash)}")
-        sub = AlgebraMap({old: Poly.gen(new) for old, new in perm.items()})
-        gens = tuple(
-            Generator(perm.get(g.name, g.name), g.degree, g.height)
-            for g in state.generators
-        )
-        diff = {
-            perm.get(name, name): p.rename(perm)
-            for name, p in state.differential.items()
-        }
-        return sub, Dga(gens, diff, state.rotation_zero)
+        _require(state, *event.perm)
+        try:
+            post = state.rename(event.perm)
+        except DgaError as exc:
+            raise MoveError(f"relabel: {exc}") from exc
+        return AlgebraMap({old: Poly.gen(new) for old, new in event.perm.items()}), post
 
     if isinstance(event, RIIInv):
         _require(state, event.x, event.y)
@@ -180,18 +172,25 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
     raise MoveError(f"unknown event {event!r}")
 
 
-def run_script(script: MoveScript) -> Monodromy:
-    """Compose all event holonomies into an endomorphism of the initial DGA."""
+def _steps(script: MoveScript):
+    """(event, holonomy, post-move state) for each event of the script."""
     verified = script.mode == "verified"
     state = script.initial
-    total = AlgebraMap.identity()
     for event in script.events:
         h, state = holonomy(event, state, verified=verified)
+        yield event, h, state
+
+
+def run_script(script: MoveScript) -> Monodromy:
+    """Compose all event holonomies into an endomorphism of the initial DGA."""
+    state = script.initial
+    total = AlgebraMap.identity()
+    for _, h, state in _steps(script):
         total = compose(h, total)
     restricted = AlgebraMap(
         {name: total(name) for name in script.initial.names if name in total.moved()}
     )
-    if verified:
+    if script.mode == "verified":
         if state.names != script.initial.names:
             raise NotAnEndomorphism(
                 f"final generator set {sorted(state.names)} differs from "
@@ -203,26 +202,15 @@ def run_script(script: MoveScript) -> Monodromy:
     return Monodromy(restricted)
 
 
-@dataclass
-class FlyReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def fly_fixed_check(script: MoveScript, fly: frozenset[str] | set[str]) -> FlyReport:
+def fly_fixed_check(script: MoveScript, fly: frozenset[str] | set[str]) -> ValidationReport:
     """Verify every event's holonomy fixes every fly generator."""
-    report = FlyReport()
+    report = ValidationReport()
     fly = frozenset(fly)
     missing = fly - script.initial.names
     if missing:
         report.violations.append(f"fly generators not in initial DGA: {sorted(missing)}")
         return report
-    state = script.initial
-    for i, event in enumerate(script.events):
-        h, state = holonomy(event, state, verified=script.mode == "verified")
+    for i, (event, h, _) in enumerate(_steps(script)):
         for g in sorted(fly & h.moved()):
             image = h(g)
             if not (image.is_singleton() and image.the_word() == (g,)):

@@ -21,10 +21,11 @@ from .builders import (
     torus_knot_dga,
     torus_tangle,
 )
-from .dga import Dga, Generator, apply_endomorphism, check_dga, shrink
-from .moves import MoveScript, RIIIa, RIIIb, Relabel, run_script
+from .dga import Dga, Generator, check_dga, shrink
+from .moves import (
+    MoveScript, RIIIa, RIIIb, RIIInv, Relabel, holonomy, kalman_monodromy, run_script
+)
 from .obstruction import family_dga, family_verdicts, tau_parity_certificate, verdict
-from .moves import kalman_monodromy
 
 SUMMAND_POOL = (3, 7, 9)
 
@@ -255,8 +256,6 @@ def _random_formal_script(rng, n_events):
 def criterion_7():
     """Holonomy rule pins plus the script concatenation homomorphism."""
 
-    from .moves import RIIInv, holonomy
-
     def run():
         problems = []
         # RII inverse: d(x) = y + w sends x to 0 and y to w
@@ -375,15 +374,7 @@ def criterion_8():
                 for name in dga.names
                 if name.startswith("k")
             }
-            gens = tuple(
-                Generator(renaming.get(g.name, g.name), g.degree, g.height)
-                for g in dga.generators
-            )
-            diff = {
-                renaming.get(name, name): p.rename(renaming)
-                for name, p in dga.differential.items()
-            }
-            dga_r = Dga(gens, diff, dga.rotation_zero)
+            dga_r = dga.rename(renaming)
             mu_r = AlgebraMap(
                 {
                     renaming.get(g, g): img.rename(renaming)
@@ -404,17 +395,14 @@ def criterion_8():
     return ("property suite", not problems, details, elapsed)
 
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-)
-
-
-def run_all():
-    return [fn() for fn in CRITERIA]
+# `legch verify` target name -> criterion, in the order `all` runs them
+CRITERIA = {
+    "trefoil": criterion_1,
+    "lengths": criterion_2,
+    "class": criterion_3,
+    "sums": criterion_4,
+    "tau": criterion_5,
+    "monodromy": criterion_6,
+    "holonomy": criterion_7,
+    "properties": criterion_8,
+}

@@ -120,31 +120,51 @@ class TestPipeline:
         assert json.loads(out)["schema"] == "tangle.v1"
 
 
-class TestScript:
-    def test_run(self, capsys, tmp_path):
-        doc = {
-            "schema": "script.v1",
-            "initial": {
-                "schema": "dga.v1",
-                "generators": [
-                    {"name": "x", "degree": 0},
-                    {"name": "y", "degree": 0},
-                    {"name": "z", "degree": 0},
-                ],
-                "differential": {},
-                "rotation_zero": True,
-            },
-            "events": [
-                {"type": "RIIIa"},
-                {"type": "RIIIb", "x": "x", "y": "y", "z": "z"},
+def script_doc():
+    return {
+        "schema": "script.v1",
+        "initial": {
+            "schema": "dga.v1",
+            "generators": [
+                {"name": "x", "degree": 0},
+                {"name": "y", "degree": 0},
+                {"name": "z", "degree": 0},
             ],
-            "mode": "verified",
-        }
+            "differential": {},
+            "rotation_zero": True,
+        },
+        "events": [
+            {"type": "RIIIa"},
+            {"type": "RIIIb", "x": "x", "y": "y", "z": "z"},
+        ],
+        "mode": "verified",
+    }
+
+
+class TestScript:
+    def run_doc(self, capsys, tmp_path, doc):
         path = tmp_path / "script.json"
         path.write_text(json.dumps(doc))
-        status, out, _ = run_cli(capsys, "script", "run", str(path))
+        return run_cli(capsys, "script", "run", str(path))
+
+    def test_run(self, capsys, tmp_path):
+        status, out, _ = self.run_doc(capsys, tmp_path, script_doc())
         assert status == 0
         assert json.loads(out)["map"] == {"x": "x + z y"}
+
+    def test_unknown_mode_rejected(self, capsys, tmp_path):
+        doc = script_doc()
+        doc["mode"] = "verifed"
+        status, out, err = self.run_doc(capsys, tmp_path, doc)
+        assert status == 1 and not out
+        assert "malformed script.v1 document" in err
+
+    def test_missing_event_field(self, capsys, tmp_path):
+        doc = script_doc()
+        del doc["events"][1]["y"]
+        status, _, err = self.run_doc(capsys, tmp_path, doc)
+        assert status == 1
+        assert "malformed script.v1 document" in err
 
     def test_malformed_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -172,6 +192,22 @@ class TestVerdict:
         assert status == 1
         assert "error" in err
 
+    def test_fly_not_integers_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "--fly", "3,x"])
+        assert exc.value.code == 2
+        assert "--fly" in capsys.readouterr().err
+
+    def test_mu_witness_length_null_past_expansion_cap(self, capsys):
+        # l(mu^3(b3)) is only bounded (6 280 036 > EXPANSION_CAP): the verdict
+        # stands, the audit length is null
+        status, out, _ = run_cli(capsys, "verdict", "--fly", "3,7", "--power", "3")
+        assert status == 0
+        (entry,) = json.loads(out)["entries"]
+        assert entry["tau_value"] == 1566451
+        assert entry["conclusion"] == "nontrivial"
+        assert entry["mu_witness"] == {"length": None, "poly": None}
+
 
 class TestVerify:
     def test_fibonacci(self, capsys):
@@ -185,3 +221,10 @@ class TestVerify:
         status, out, _ = run_cli(capsys, "verify", "trefoil")
         assert status == 0
         assert out.startswith("PASS")
+
+    def test_emit_on_criterion_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "trefoil", "--emit", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from legch.algebra import AlgebraMap, Poly, add, poly_from_str
+from legch import algebra
+from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str
 from legch.builders import torus_knot_dga
 from legch.dga import (
     Dga,
@@ -99,6 +100,37 @@ class TestCheckDga:
         assert any("height" in s for s in report.skipped)
 
 
+def wrong_degree_dga(monkeypatch):
+    """d(x) symbolic with word degrees in [0, 2] against a target of 3, and
+    d(w) = w y explicit with degree 1 against a target of 0."""
+    monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+    y_or_z = add(Poly.gen("y"), Poly.gen("z"))
+    square = mul(y_or_z, y_or_z)
+    assert not square.is_explicit
+    gens = (Generator("x", 4), Generator("w", 1), Generator("y", 0), Generator("z", 1))
+    return Dga(gens, {"x": square, "w": P("w y")}, True), square
+
+
+class TestDegreeMessages:
+    def test_check_dga(self, monkeypatch):
+        dga, _ = wrong_degree_dga(monkeypatch)
+        report = check_dga(dga)
+        assert report.violations == [
+            "d(x): word degrees in [0,2], expected 3",
+            "d(w): word w y has degree 1, expected 0",
+            "d(d(w)) != 0",
+        ]
+        assert report.skipped == ["height monotonicity: heights absent"]
+
+    def test_apply_endomorphism(self, monkeypatch):
+        dga, square = wrong_degree_dga(monkeypatch)
+        report = apply_endomorphism(dga, AlgebraMap({"y": square, "z": P("y")}))
+        assert report.violations == [
+            "y -> symbolic image with degree bounds [0,2], expected exactly 0",
+            "z -> word y of degree 0, expected 1",
+        ]
+
+
 class TestShrink:
     def base(self):
         return Dga(
@@ -164,11 +196,21 @@ class TestJson:
         with pytest.raises(DgaError):
             dga_from_dict({"schema": "dga.v2", "generators": []})
 
+    def test_rotation_zero_must_be_boolean(self):
+        doc = dga_to_dict(torus_knot_dga(3))
+        doc["rotation_zero"] = "false"
+        with pytest.raises(DgaError, match="malformed dga.v1 document"):
+            dga_from_dict(doc)
+
 
 class TestInvariants:
     def test_duplicate_names_rejected(self):
         with pytest.raises(DgaError):
             Dga((Generator("x", 0), Generator("x", 1)), {}, True)
+
+    def test_rename_unknown_generator(self):
+        with pytest.raises(UnknownGenerator):
+            torus_knot_dga(3).rename({"q": "r"})
 
     def test_undeclared_differential_rejected(self):
         with pytest.raises(UnknownGenerator):

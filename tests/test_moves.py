@@ -6,11 +6,12 @@ import pytest
 
 from legch import algebra
 from legch.algebra import AlgebraMap, Poly, add, compose, mul, poly_from_str
-from legch.builders import torus_tangle
+from legch.builders import fibonacci_lengths, torus_knot_dga, torus_tangle
 from legch.dga import Dga, Generator
 from legch.moves import (
     FlyCollision,
     MalformedDifferential,
+    MoveError,
     MoveScript,
     NotAnEndomorphism,
     RII,
@@ -105,6 +106,25 @@ class TestHolonomy:
         assert h("p") == P("q")
         assert post.names == frozenset({"p", "q"})
 
+    def test_relabel_not_injective(self):
+        state = degree_zero_dga("p", "q", "r")
+        with pytest.raises(MoveError):
+            holonomy(Relabel({"p": "r", "q": "r"}), state)
+
+    def test_relabel_collides_with_unmoved(self):
+        state = degree_zero_dga("p", "q", "r")
+        with pytest.raises(MoveError):
+            holonomy(Relabel({"p": "q"}), state)
+
+    def test_relabel_keeps_certificates(self, monkeypatch):
+        dga = torus_knot_dga(61)
+        perm = {"a2": "c", "b1": "b0"}
+        _, post = holonomy(Relabel(perm), dga)
+        _, f61, _, f60 = fibonacci_lengths(61)
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert post.d("c").length() == f61 * f61 + f60 - 1
+        assert post.d("c").alphabet() == dga.d("a2").rename(perm).alphabet()
+
     def test_rii_birth_ok(self):
         state = degree_zero_dga("p")
         event = RII(
@@ -152,6 +172,10 @@ class TestHolonomy:
 
 
 class TestRunScript:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(MoveError):
+            MoveScript(degree_zero_dga("p"), (), "verifed")
+
     def test_empty(self):
         script = MoveScript(degree_zero_dga("p"), (), "verified")
         assert not run_script(script).map.normalized()
