@@ -10,7 +10,9 @@ expansion would be enormous (connected-sum closure differentials and iterated
 monodromy images grow multiplicatively) are kept symbolic.  Symbolic nodes
 denote exactly the same word set; every query either answers through a
 certificate that rules out cancellation, or falls back to materialization,
-or raises ExpansionTooLarge.  No query ever returns an approximate value.
+or raises ExpansionTooLarge.  Equality never expands: it compares linear
+representations of the two values (see _Rep).  No query ever returns an
+approximate value.
 
 Word statistics: length() is the number of words, max_count(g) the maximal
 multiplicity of a generator within a single word, tau(g) the number of words
@@ -25,7 +27,7 @@ import math
 import re
 import sys
 import weakref
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Word = tuple[str, ...]
 EMPTY_WORD: Word = ()
@@ -477,7 +479,23 @@ class Poly:
             return NotImplemented
         # Equal composite structures are one interned node, and an explicit
         # node's token is its word set.
-        return self._token == other._token or self.expand() == other.expand()
+        if self._token == other._token:
+            return True
+        if self._kind == other._kind == _KIND_EXPLICIT:
+            return False
+        # Never expands: the difference is zero iff its reachable states
+        # all have output 0.
+        return not _reachable(_sum_rep(self._series(), other._series())).eta
+
+    @_memo("series")
+    def _series(self) -> "_Rep":
+        """A minimal linear representation of the value (see _Rep)."""
+        if self._kind == _KIND_EXPLICIT:
+            rep = _words_rep(self._words)
+        else:
+            combine = _product_rep if self._kind == _KIND_PRODUCT else _sum_rep
+            rep = functools.reduce(combine, (c._series() for c in self._children))
+        return _transposed(_reachable(_transposed(_reachable(rep))))
 
     def __hash__(self) -> int:
         return hash(self.expand())
@@ -698,6 +716,130 @@ def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
     node = _node(_KIND_SUM, tuple(terms))
     node._disjoint = True
     return node
+
+
+# -- linear representations ---------------------------------------------------
+#
+# A polynomial over Z2 is a rational series: there are a row vector alpha,
+# one square matrix M_c per letter and a column vector eta such that the
+# coefficient of the word c1..ck is alpha M_c1 .. M_ck eta.  Sums are
+# block-diagonal, a product hands over from its first block to its second,
+# and Schutzenberger's reduction (restrict to the states reachable from
+# alpha, then, transposed, to those reachable from eta) brings the dimension
+# down to the rank of the series (Berstel & Reutenauer, "Noncommutative
+# Rational Series with Applications", ch. 2).  Equality is thus decided
+# exactly without expanding: a value of millions of words usually has a
+# representation of a few dozen states.  Vectors are bit masks over the
+# states; a matrix is the list of its rows.
+
+
+class _Rep(NamedTuple):
+    dim: int
+    alpha: int
+    eta: int
+    rows: dict[str, list[int]]  # letter -> rows of M_letter
+
+    def matrix(self, letter: str) -> list[int]:
+        return self.rows.get(letter) or [0] * self.dim
+
+
+def _parity(mask: int) -> int:
+    return mask.bit_count() & 1
+
+
+def _times(vector: int, rows: list[int]) -> int:
+    """The row vector times the matrix."""
+    acc = 0
+    while vector:
+        low = vector & -vector
+        acc ^= rows[low.bit_length() - 1]
+        vector ^= low
+    return acc
+
+
+def _words_rep(words: frozenset[Word]) -> _Rep:
+    """The prefix tree of the words: one state per prefix."""
+    index = {EMPTY_WORD: 0}
+    edges = []
+    for w in words:
+        for i in range(1, len(w) + 1):
+            if w[:i] not in index:
+                index[w[:i]] = len(index)
+                edges.append((w[i - 1], index[w[: i - 1]], index[w[:i]]))
+    rows: dict[str, list[int]] = {}
+    for c, src, dst in edges:
+        rows.setdefault(c, [0] * len(index))[src] |= 1 << dst
+    eta = 0
+    for w in words:
+        eta |= 1 << index[w]
+    return _Rep(len(index), 1, eta, rows)
+
+
+def _sum_rep(a: _Rep, b: _Rep) -> _Rep:
+    rows = {
+        c: a.matrix(c) + [r << a.dim for r in b.matrix(c)]
+        for c in a.rows.keys() | b.rows.keys()
+    }
+    return _Rep(a.dim + b.dim, a.alpha | b.alpha << a.dim, a.eta | b.eta << a.dim, rows)
+
+
+def _product_rep(a: _Rep, b: _Rep) -> _Rep:
+    # Reading a letter that ends a word of a may instead start b; a's empty
+    # word starts b at once.
+    start = b.alpha << a.dim
+    rows = {
+        c: [r | start if _parity(r & a.eta) else r for r in a.matrix(c)]
+        + [r << a.dim for r in b.matrix(c)]
+        for c in a.rows.keys() | b.rows.keys()
+    }
+    alpha = a.alpha | start if _parity(a.alpha & a.eta) else a.alpha
+    return _Rep(a.dim + b.dim, alpha, b.eta << a.dim, rows)
+
+
+def _reachable(rep: _Rep) -> _Rep:
+    """The representation restricted to the span of the vectors alpha M_w,
+    in the basis that a breadth-first search over w finds."""
+    basis: list[int] = []
+    # leading bit -> (echelon vector, the basis vectors that sum to it)
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def coordinates(v: int) -> int:
+        rest, combination = v, 0
+        while rest:
+            lead = rest.bit_length() - 1
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (rest, combination ^ 1 << len(basis))
+                basis.append(v)
+                return 1 << len(basis) - 1
+            rest ^= hit[0]
+            combination ^= hit[1]
+        return combination
+
+    coordinates(rep.alpha)
+    rows: dict[str, list[int]] = {c: [] for c in rep.rows}
+    for v in basis:  # grows while it is walked
+        for c, m in rep.rows.items():
+            rows[c].append(coordinates(_times(v, m)))
+    eta = 0
+    for k, v in enumerate(basis):
+        eta |= _parity(v & rep.eta) << k
+    return _Rep(len(basis), 1 if basis else 0, eta, rows)
+
+
+def _transposed(rep: _Rep) -> _Rep:
+    """alpha and eta swapped and every matrix transposed: a representation
+    of the series read backwards."""
+    rows = {}
+    for c, m in rep.rows.items():
+        t = [0] * rep.dim
+        for i, r in enumerate(m):
+            while r:
+                low = r & -r
+                t[low.bit_length() - 1] |= 1 << i
+                r ^= low
+        rows[c] = t
+    return _Rep(rep.dim, rep.eta, rep.alpha, rows)
 
 
 # -- public operations --------------------------------------------------------

@@ -250,3 +250,37 @@ class TestHashConsing:
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 1)
         ren = s.rename({"x": "u", "y": "v"})
         assert ren.length() == s.length() == len(want) == 6
+
+
+class TestEquality:
+    """Equality of symbolic values is decided without expanding them."""
+
+    def powers(self, f_d):
+        # (F^3)^3 against F^9, built along different paths
+        f = AlgebraMap({"a": Poly.zero(), "d": P(f_d)})
+        g = AlgebraMap({"a": Poly.zero(), "d": P("d d d")})
+        p = P("d d d")
+        return compose(f, g).apply(p), f.apply(g.apply(p))
+
+    def test_bound_past_cap(self):
+        lhs, rhs = self.powers("1 + a + b + a a + a a a + a a b")
+        # 62,812 words, but a size bound of 5,038,848
+        assert rhs.size_bound() > algebra.EXPANSION_CAP
+        assert lhs == rhs
+        assert lhs != add(rhs, P("a b"))
+
+    def test_never_expands(self, monkeypatch):
+        lhs, rhs = self.powers("b + a a + a a a + a b a")
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert lhs == rhs
+        assert lhs != mul(rhs, P("a"))
+        assert add(lhs, P("1")) != rhs
+
+    def test_zero(self, monkeypatch):
+        lazy(monkeypatch)
+        p = mul(P("a + b"), P("a + b"))
+        q = add(mul(P("a"), P("a + b")), mul(P("b"), P("a + b")))
+        assert p == q
+        assert add(p, P("a a")) == add(q, P("a a"))
+        assert P("a a + a b + b a + b b") == p
+        assert P("a a + a b + b a") != p

@@ -83,6 +83,31 @@ class TestMaps:
         assert compose(i, m).apply(p) == m.apply(p) == compose(m, i).apply(p)
 
 
+# sums and products of polys; those past LAZY_THRESHOLD stay symbolic
+symbolic = st.recursive(
+    polys,
+    lambda inner: st.tuples(st.sampled_from((add, mul)), inner, inner).map(
+        lambda t: t[0](t[1], t[2])
+    ),
+    max_leaves=6,
+)
+
+
+class TestEquality:
+    @given(symbolic, symbolic)
+    def test_matches_expansion(self, p, q):
+        assert (p == q) == (p.expand() == q.expand())
+
+    @given(symbolic, symbolic, symbolic)
+    def test_associative_products_equal(self, p, q, r):
+        assert mul(mul(p, q), r) == mul(p, mul(q, r))
+
+    @given(symbolic, symbolic, words)
+    def test_differs_by_a_word(self, p, q, w):
+        s = mul(p, q)
+        assert s != add(s, Poly.word(*w))
+
+
 class TestLengthAndSlices:
     @given(words, polys, words)
     def test_sandwich_preserves_length(self, u, p, v):
