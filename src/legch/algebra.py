@@ -139,6 +139,11 @@ class Poly:
 
     @staticmethod
     def _explicit(words: frozenset[Word]) -> "Poly":
+        """The node of a word set; no word is _ZERO, the unit alone _ONE."""
+        if not words:
+            return _ZERO
+        if len(words) == 1 and EMPTY_WORD in words:
+            return _ONE
         p = Poly(_MAKE)
         p._words = p._token = words
         return p
@@ -187,7 +192,8 @@ class Poly:
         if self._kind == _KIND_PRODUCT:
             return all(self._children)  # the free algebra has no zero divisors
         if self._disjoint or _pairwise_disjoint(self._children):
-            return True
+            # no word cancels across disjoint terms
+            return any(self._children)
         return self.length() != 0
 
     def is_singleton(self) -> bool:
@@ -235,17 +241,6 @@ class Poly:
         sizes = [c.size_bound() for c in self._children]
         return math.prod(sizes) if self._kind == _KIND_PRODUCT else sum(sizes)
 
-    def may_unit(self) -> bool:
-        """True when the empty word may belong to the set (superset-sound)."""
-        if self._kind == _KIND_EXPLICIT:
-            return EMPTY_WORD in self._words
-        return self._may_unit()
-
-    @_memo("may_unit")
-    def _may_unit(self) -> bool:
-        units = (c.may_unit() for c in self._children)
-        return all(units) if self._kind == _KIND_PRODUCT else any(units)
-
     def has_unit(self) -> bool:
         """Exact membership of the empty word."""
         if self._kind == _KIND_EXPLICIT:
@@ -273,14 +268,10 @@ class Poly:
             return (sum(los), sum(his))
         return (min(los), max(his))
 
-    def len_bounds(self) -> tuple[int, int]:
-        """Bounds on word lengths (superset-sound)."""
-        return self.count_bounds(None)
-
     @_memo("end")
     def end_letters(self, side: int) -> frozenset[str]:
         """Letters that may begin (side 0) or end (side -1) a nonempty word
-        (superset-sound); whether the empty word may occur is may_unit."""
+        (superset-sound); whether the empty word occurs is has_unit."""
         if self._kind == _KIND_EXPLICIT:
             return frozenset(w[side] for w in self._words if w)
         if self._kind == _KIND_SUM:
@@ -288,7 +279,7 @@ class Poly:
         letters: set[str] = set()
         for f in self._children if side == 0 else reversed(self._children):
             letters |= f.end_letters(side)
-            if not f.may_unit():
+            if not f.has_unit():
                 break
         return frozenset(letters)
 
@@ -307,8 +298,8 @@ class Poly:
         # Product: parity of the number of admissible splits.
         a, b = self._children
         n = len(word)
-        alo, ahi = a.len_bounds()
-        blo, bhi = b.len_bounds()
+        alo, ahi = a.count_bounds(None)
+        blo, bhi = b.count_bounds(None)
         flag = False
         for i in range(max(alo, n - bhi), min(ahi, n - blo) + 1):
             if a.contains(word[:i]) and b.contains(word[i:]):
@@ -317,11 +308,10 @@ class Poly:
 
     # -- materialization ---------------------------------------------------
 
-    def expand(self, cap: int | None = None) -> frozenset[Word]:
-        limit = EXPANSION_CAP if cap is None else cap
-        if self.size_bound() > limit:
+    def expand(self) -> frozenset[Word]:
+        if self.size_bound() > EXPANSION_CAP:
             raise ExpansionTooLarge(
-                f"expansion bound {self.size_bound()} exceeds cap {limit}"
+                f"expansion bound {self.size_bound()} exceeds cap {EXPANSION_CAP}"
             )
         if self._kind == _KIND_EXPLICIT:
             return self._words
@@ -529,14 +519,12 @@ def _concat(a: frozenset[Word], b: frozenset[Word]) -> frozenset[Word]:
     return frozenset(acc)
 
 
-def _definitely_zero(p: Poly) -> bool:
-    """Cheap zero test.  The constructors never give a composite node a
-    zero child, so only an empty explicit node is certainly zero."""
-    return p._kind == _KIND_EXPLICIT and not p._words
-
-
-_ZERO = Poly._explicit(frozenset())
-_ONE = Poly._explicit(frozenset({EMPTY_WORD}))
+# Built here rather than by _explicit, which returns them.  `p is _ZERO` is
+# the cheap zero test: exact on explicit nodes, and no constructor gives a
+# composite node this child (a composite may still be zero-valued).
+_ZERO = Poly(_MAKE)
+_ONE = Poly(_MAKE)
+_ONE._words = _ONE._token = frozenset({EMPTY_WORD})
 
 
 # -- hash-consed node construction ---------------------------------------------
@@ -589,14 +577,14 @@ def _rebuild(p: Poly, letters, leaf, node) -> Poly:
 
 
 def _pairwise_disjoint(polys) -> bool:
-    polys = [p for p in polys if not _definitely_zero(p)]
+    polys = [p for p in polys if p is not _ZERO]
     return all(_certainly_disjoint(a, b) for a, b in itertools.combinations(polys, 2))
 
 
 def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     """Certificate that the word sets of a and b share no word."""
-    alo, ahi = a.len_bounds()
-    blo, bhi = b.len_bounds()
+    alo, ahi = a.count_bounds(None)
+    blo, bhi = b.count_bounds(None)
     if ahi < blo or bhi < alo:
         return True
     # a letter every word of one side carries, absent from the other side
@@ -632,22 +620,19 @@ def _pair_injective(a: Poly, g: Poly) -> bool:
                 )
             ):
                 return True
-    # Left suffix marker: every a-word ends with the same letter delta,
-    # contains it exactly once, and g never uses delta; split after delta.
-    last = a.end_letters(-1)
-    if not a.may_unit() and len(last) == 1:
-        (delta,) = last
-        if delta not in g.alphabet() and a.count_bounds(delta) == (1, 1):
-            return True
-    # Mirror: every nonempty g-word starts with a unique marker letter.
-    first = g.end_letters(0)
-    if len(first) == 1:
-        (delta,) = first
-        if delta not in a.alphabet():
-            glo, ghi = g.count_bounds(delta)
-            if ghi == 1 and (g.may_unit() or glo == 1):
-                return True
-    return False
+    return _seam_marker(a, -1, g) or _seam_marker(g, 0, a)
+
+
+def _seam_marker(p: Poly, side: int, other: Poly) -> bool:
+    """True when every nonempty p-word ends (side -1) or begins (side 0) with
+    a letter delta that it carries once and `other` never uses: then the
+    delta of a concatenation, if it has one, marks the split, and if it has
+    none, the p-word is empty."""
+    ends = p.end_letters(side)
+    if len(ends) != 1:
+        return False
+    (delta,) = ends
+    return delta not in other.alphabet() and p.count_bounds(delta)[1] == 1
 
 
 def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
@@ -656,9 +641,9 @@ def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
     factors is injective on each prefix of them."""
     node = _ONE
     for f in factors:
-        if _definitely_zero(f):
+        if f is _ZERO:
             return _ZERO
-        if f._words == _ONE._words:
+        if f is _ONE:
             continue
         if node is _ONE:
             node = f
@@ -708,7 +693,7 @@ def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
     Terms are kept as given (no flattening or merging) so nested structure
     survives; same trust contract as unsafe_injective_product.
     """
-    terms = [t for t in terms if not _definitely_zero(t)]
+    terms = [t for t in terms if t is not _ZERO]
     if not terms:
         return _ZERO
     if len(terms) == 1:
@@ -847,9 +832,9 @@ def _transposed(rep: _Rep) -> _Rep:
 
 def add(p: Poly, q: Poly) -> Poly:
     """Sum in characteristic 2: symmetric difference of word sets."""
-    if _definitely_zero(p):
+    if p is _ZERO:
         return q
-    if _definitely_zero(q):
+    if q is _ZERO:
         return p
     if (
         p._kind == _KIND_EXPLICIT
@@ -862,12 +847,11 @@ def add(p: Poly, q: Poly) -> Poly:
 
 def mul(p: Poly, q: Poly) -> Poly:
     """Product: all pairwise concatenations, reduced mod 2."""
-    if _definitely_zero(p) or _definitely_zero(q):
+    if p is _ZERO or q is _ZERO:
         return _ZERO
-    # a composite node's _words is empty, so this tests for the unit
-    if p._words == _ONE._words:
+    if p is _ONE:
         return q
-    if q._words == _ONE._words:
+    if q is _ONE:
         return p
     if p.size_bound() * q.size_bound() <= LAZY_THRESHOLD:
         return Poly._explicit(_concat(p.expand(), q.expand()))

@@ -27,7 +27,7 @@ from .builders import (
     tangle_to_dict,
     torus_knot_dga,
 )
-from .dga import DgaError, dga_from_dict, dga_to_dict, generator_from_dict
+from .dga import DgaError, check_document, dga_from_dict, dga_to_dict, generator_from_dict
 from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, kalman_monodromy, run_script
 from .obstruction import family_dga, verdict
 from .verify import CRITERIA
@@ -139,15 +139,14 @@ def _event_from_dict(entry: dict):
 
 def cmd_script(run: _Run, args) -> int:
     doc = run.read(args.input)
-    if doc.get("schema", "script.v1") != "script.v1":
-        raise DgaError(f"unsupported schema {doc.get('schema')!r}")
+    check_document(doc, "script.v1")
     try:
         script = MoveScript(
             dga_from_dict(doc["initial"]),
             tuple(_event_from_dict(e) for e in doc["events"]),
             doc.get("mode", "verified"),
         )
-    except (KeyError, TypeError, ValueError, DgaError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError, DgaError) as exc:
         raise DgaError(f"malformed script.v1 document: {exc}") from exc
     monodromy = run_script(script)
     run.emit(

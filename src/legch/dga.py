@@ -330,22 +330,32 @@ def dga_to_dict(dga: Dga) -> dict:
     }
 
 
+def check_document(data, schema: str) -> None:
+    """Rejects `data` unless it is a JSON object tagged `schema` or untagged."""
+    if not isinstance(data, dict):
+        raise DgaError(f"malformed {schema} document: not a JSON object")
+    if data.get("schema", schema) != schema:
+        raise DgaError(f"unsupported schema {data.get('schema')!r}")
+
+
 def generator_from_dict(entry: Mapping) -> Generator:
     """A generator from its dga.v1 entry: name, degree and optional height."""
     height = Fraction(entry["height"]) if "height" in entry else None
-    return Generator(entry["name"], int(entry["degree"]), height)
+    degree = entry["degree"]
+    if type(degree) is not int:  # a JSON integer, and not a boolean
+        raise TypeError(f"degree {degree!r} is not an integer")
+    return Generator(entry["name"], degree, height)
 
 
 def dga_from_dict(data: Mapping) -> Dga:
-    if data.get("schema", "dga.v1") != "dga.v1":
-        raise DgaError(f"unsupported schema {data.get('schema')!r}")
+    check_document(data, "dga.v1")
     try:
         gens = tuple(generator_from_dict(entry) for entry in data["generators"])
         diff = {
             name: poly_from_str(text)
             for name, text in data.get("differential", {}).items()
         }
-    except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError) as exc:
         raise DgaError(f"malformed dga.v1 document: {exc}") from exc
     rotation_zero = data.get("rotation_zero", True)
     if not isinstance(rotation_zero, bool):

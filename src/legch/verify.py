@@ -7,6 +7,7 @@ are asserted by the test suite, not here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -30,10 +31,21 @@ from .obstruction import family_dga, family_verdicts, tau_parity_certificate, ve
 SUMMAND_POOL = (3, 7, 9)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+def _criterion(title: str, success: str):
+    """Times a criterion body that returns its problem list and turns it
+    into the row (title, ok, details, elapsed seconds)."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run():
+            start = time.perf_counter()
+            problems = body()
+            elapsed = time.perf_counter() - start
+            return (title, not problems, "; ".join(problems) or success, elapsed)
+
+        return run
+
+    return decorate
 
 
 def fly_multisets():
@@ -43,196 +55,171 @@ def fly_multisets():
     return out
 
 
+@_criterion("trefoil ground truth", "trefoil entries and differentials exact")
 def criterion_1():
     """Trefoil ground truth: path matrix entries and differentials."""
-
-    def run():
-        problems = []
-        m = path_matrix(3)
-        expected_entries = {
-            (1, 1): "b1 + b3 + b1 b2 b3",
-            (1, 2): "1 + b1 b2",
-            (2, 1): "1 + b2 b3",
-            (2, 2): "b2",
-        }
-        for idx, want in expected_entries.items():
-            got = poly_to_str(m[idx])
-            if got != want:
-                problems.append(f"B{idx[0]}{idx[1]} = {got}, expected {want}")
-        dga = torus_knot_dga(3)
-        expected_diff = {
-            "a1": "1 + b1 + b3 + b1 b2 b3",
-            "a2": "b2 + b1 b2 + b2 b3 + b2 b3 b1 b2",
-        }
-        for name, want in expected_diff.items():
-            got = poly_to_str(dga.d(name))
-            if got != want:
-                problems.append(f"d({name}) = {got}, expected {want}")
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or "trefoil entries and differentials exact"
-    return ("trefoil ground truth", not problems, details, elapsed)
+    problems = []
+    m = path_matrix(3)
+    expected_entries = {
+        (1, 1): "b1 + b3 + b1 b2 b3",
+        (1, 2): "1 + b1 b2",
+        (2, 1): "1 + b2 b3",
+        (2, 2): "b2",
+    }
+    for idx, want in expected_entries.items():
+        got = poly_to_str(m[idx])
+        if got != want:
+            problems.append(f"B{idx[0]}{idx[1]} = {got}, expected {want}")
+    dga = torus_knot_dga(3)
+    expected_diff = {
+        "a1": "1 + b1 + b3 + b1 b2 b3",
+        "a2": "b2 + b1 b2 + b2 b3 + b2 b3 b1 b2",
+    }
+    for name, want in expected_diff.items():
+        got = poly_to_str(dga.d(name))
+        if got != want:
+            problems.append(f"d({name}) = {got}, expected {want}")
+    return problems
 
 
+@_criterion(
+    "fibonacci lengths", "entry lengths match (F(n+1), F(n), F(n), F(n-1)) for n=1..20"
+)
 def criterion_2():
     """Path-matrix entry lengths follow the Fibonacci pattern for n = 1..20."""
-
-    def run():
-        problems = []
-        a, b = 0, 1
-        fib = [a, b]
-        for _ in range(22):
-            a, b = b, a + b
-            fib.append(b)
-        for n in range(1, 21):
-            want = (fib[n + 1], fib[n], fib[n], fib[n - 1])
-            got = path_matrix(n).lengths()
-            if got != want:
-                problems.append(f"n={n}: lengths {got}, expected {want}")
-            if fibonacci_lengths(n) != want:
-                problems.append(f"n={n}: fibonacci_lengths disagrees")
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or "entry lengths match (F(n+1), F(n), F(n), F(n-1)) for n=1..20"
-    return ("fibonacci lengths", not problems, details, elapsed)
+    problems = []
+    fib = [0, 1]
+    for _ in range(22):
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 21):
+        want = (fib[n + 1], fib[n], fib[n], fib[n - 1])
+        got = path_matrix(n).lengths()
+        if got != want:
+            problems.append(f"n={n}: lengths {got}, expected {want}")
+        if fibonacci_lengths(n) != want:
+            problems.append(f"n={n}: fibonacci_lengths disagrees")
+    return problems
 
 
+@_criterion(
+    "even d-class criterion", "classification matches n mod 3 != 2 for odd n in 3..21"
+)
 def criterion_3():
     """Even d-class iff n mod 3 != 2, for odd n in 3..21."""
-
-    def run():
-        problems = []
-        for n in range(3, 22, 2):
-            got, report = is_even_delta_class(torus_knot_dga(n))
-            want = n % 3 != 2
-            if got != want:
-                problems.append(f"n={n}: classified {got}, expected {want} ({report})")
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or "classification matches n mod 3 != 2 for odd n in 3..21"
-    return ("even d-class criterion", not problems, details, elapsed)
+    problems = []
+    for n in range(3, 22, 2):
+        got, report = is_even_delta_class(torus_knot_dga(n))
+        want = n % 3 != 2
+        if got != want:
+            problems.append(f"n={n}: classified {got}, expected {want} ({report})")
+    return problems
 
 
+@_criterion(
+    "connected-sum algebra",
+    f"all {len(fly_multisets())} sums: d(a) = 1 + prod(W_i), even length, "
+    "internals unchanged, DGA valid",
+)
 def criterion_4():
     """Connected sums over {3,7,9} multisets of size <= 3: closure
     differential 1 + prod(W_i), even length, internal differentials
     unchanged, check_dga clean."""
-
-    def run():
-        problems = []
-        for summands in fly_multisets():
-            tangles = [torus_tangle(n, f"k{i}") for i, n in enumerate(summands, 1)]
-            dga = connect_sum(tangles)
-            closure = dga.d("a")
-            word_lengths = [t.word.length() for t in tangles]
-            expected_len = 1
-            for wl in word_lengths:
-                expected_len *= wl
-            # the unit word of prod(W_i) cancels against the explicit 1
-            expected_len -= 1
-            got_len = closure.length()
-            if got_len != expected_len:
-                problems.append(
-                    f"{summands}: l(d(a)) = {got_len}, expected {expected_len}"
-                )
-            if got_len % 2 != 0:
-                problems.append(f"{summands}: l(d(a)) = {got_len} is odd")
-            if expected_len <= 300_000:
-                brute = Poly.one()
-                for t in tangles:
-                    brute = mul(brute, t.word)
-                brute = add(Poly.one(), brute)
-                if closure.words() != brute.words():
-                    problems.append(f"{summands}: d(a) != 1 + prod(W_i)")
-            else:
-                # too large to expand: the unit of prod(W_i) must cancel the
-                # explicit 1, and sampled cross-concatenations must be present
-                if closure.contains(()):
-                    problems.append(f"{summands}: unit word survived in d(a)")
-                rng = random.Random(hash(summands) & 0xFFFF)
-                samples = [sorted(t.word.words())[:40] for t in tangles]
-                for _ in range(25):
-                    parts = [rng.choice(s) for s in samples]
-                    word = tuple(itertools.chain.from_iterable(parts))
-                    if word and not closure.contains(word):
-                        problems.append(f"{summands}: missing product word")
-                        break
+    problems = []
+    for summands in fly_multisets():
+        tangles = [torus_tangle(n, f"k{i}") for i, n in enumerate(summands, 1)]
+        dga = connect_sum(tangles)
+        closure = dga.d("a")
+        word_lengths = [t.word.length() for t in tangles]
+        expected_len = 1
+        for wl in word_lengths:
+            expected_len *= wl
+        # the unit word of prod(W_i) cancels against the explicit 1
+        expected_len -= 1
+        got_len = closure.length()
+        if got_len != expected_len:
+            problems.append(
+                f"{summands}: l(d(a)) = {got_len}, expected {expected_len}"
+            )
+        if got_len % 2 != 0:
+            problems.append(f"{summands}: l(d(a)) = {got_len} is odd")
+        if expected_len <= 300_000:
+            brute = Poly.one()
             for t in tangles:
-                for name, image in t.internal.differential.items():
-                    if dga.d(name) != image:
-                        problems.append(f"{summands}: d({name}) changed")
-            report = check_dga(dga)
-            if not report.ok:
-                problems.append(f"{summands}: {report.violations}")
-        return problems
+                brute = mul(brute, t.word)
+            brute = add(Poly.one(), brute)
+            if closure.words() != brute.words():
+                problems.append(f"{summands}: d(a) != 1 + prod(W_i)")
+        else:
+            # too large to expand: the unit of prod(W_i) must cancel the
+            # explicit 1, and sampled cross-concatenations must be present
+            if closure.contains(()):
+                problems.append(f"{summands}: unit word survived in d(a)")
+            rng = random.Random(hash(summands) & 0xFFFF)
+            samples = [sorted(t.word.words())[:40] for t in tangles]
+            for _ in range(25):
+                parts = [rng.choice(s) for s in samples]
+                word = tuple(itertools.chain.from_iterable(parts))
+                if word and not closure.contains(word):
+                    problems.append(f"{summands}: missing product word")
+                    break
+        for t in tangles:
+            for name, image in t.internal.differential.items():
+                if dga.d(name) != image:
+                    problems.append(f"{summands}: d({name}) changed")
+        report = check_dga(dga)
+        if not report.ok:
+            problems.append(f"{summands}: {report.violations}")
+    return problems
 
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or (
-        f"all {len(fly_multisets())} sums: d(a) = 1 + prod(W_i), even length, "
-        "internals unchanged, DGA valid"
-    )
-    return ("connected-sum algebra", not problems, details, elapsed)
 
-
+@_criterion(
+    "tau certificate",
+    "tau(d(a1)) = 2 and tau(d(a)) = 2 l(W_fly) for every fly; certificates hold",
+)
 def criterion_5():
     """tau certificate bookkeeping for fly # trefoil."""
-
-    def run():
-        problems = []
-        for summands in fly_multisets():
-            dga, fly_word = family_dga(summands)
-            fly_len = fly_word.length()
-            t1 = dga.d("a1").tau("b3")
-            if t1 != 2:
-                problems.append(f"{summands}: tau(d(a1)) = {t1}, expected 2")
-            ta = dga.d("a").tau("b3")
-            if ta != 2 * fly_len:
-                problems.append(
-                    f"{summands}: tau(d(a)) = {ta}, expected {2 * fly_len}"
-                )
-            ok, report = tau_parity_certificate(dga, "b3")
-            if not ok:
-                problems.append(f"{summands}: certificate failed ({report})")
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or (
-        "tau(d(a1)) = 2 and tau(d(a)) = 2 l(W_fly) for every fly; certificates hold"
-    )
-    return ("tau certificate", not problems, details, elapsed)
+    problems = []
+    for summands in fly_multisets():
+        dga, fly_word = family_dga(summands)
+        fly_len = fly_word.length()
+        t1 = dga.d("a1").tau("b3")
+        if t1 != 2:
+            problems.append(f"{summands}: tau(d(a1)) = {t1}, expected 2")
+        ta = dga.d("a").tau("b3")
+        if ta != 2 * fly_len:
+            problems.append(
+                f"{summands}: tau(d(a)) = {ta}, expected {2 * fly_len}"
+            )
+        ok, report = tau_parity_certificate(dga, "b3")
+        if not ok:
+            problems.append(f"{summands}: certificate failed ({report})")
+    return problems
 
 
+@_criterion(
+    "monodromy verdicts",
+    "all verdicts nontrivial; tau = 1 at j=1 and 2 l(W)^2 + 1 at j=3",
+)
 def criterion_6():
     """Monodromy verdicts: odd tau for j in {1,2,3}; closed forms at j=1,3."""
-
-    def run():
-        problems = []
-        for summands in fly_multisets():
-            dga, fly_word = family_dga(summands)
-            fly_len = fly_word.length()
-            verdicts = family_verdicts(summands, (1, 2, 3))
-            for j, v in verdicts.items():
-                if v.tau_value % 2 != 1:
-                    problems.append(f"{summands} j={j}: tau {v.tau_value} even")
-                if v.conclusion != "nontrivial":
-                    problems.append(f"{summands} j={j}: {v.conclusion}")
-            if verdicts[1].tau_value != 1:
-                problems.append(f"{summands} j=1: tau {verdicts[1].tau_value} != 1")
-            want3 = 2 * fly_len * fly_len + 1
-            if verdicts[3].tau_value != want3:
-                problems.append(
-                    f"{summands} j=3: tau {verdicts[3].tau_value} != {want3}"
-                )
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or (
-        "all verdicts nontrivial; tau = 1 at j=1 and 2 l(W)^2 + 1 at j=3"
-    )
-    return ("monodromy verdicts", not problems, details, elapsed)
+    problems = []
+    for summands in fly_multisets():
+        dga, fly_word = family_dga(summands)
+        fly_len = fly_word.length()
+        verdicts = family_verdicts(summands, (1, 2, 3))
+        for j, v in verdicts.items():
+            if v.tau_value % 2 != 1:
+                problems.append(f"{summands} j={j}: tau {v.tau_value} even")
+            if v.conclusion != "nontrivial":
+                problems.append(f"{summands} j={j}: {v.conclusion}")
+        if verdicts[1].tau_value != 1:
+            problems.append(f"{summands} j=1: tau {verdicts[1].tau_value} != 1")
+        want3 = 2 * fly_len * fly_len + 1
+        if verdicts[3].tau_value != want3:
+            problems.append(
+                f"{summands} j=3: tau {verdicts[3].tau_value} != {want3}"
+            )
+    return problems
 
 
 def _random_formal_script(rng, n_events):
@@ -253,60 +240,56 @@ def _random_formal_script(rng, n_events):
     return MoveScript(initial, tuple(events), "formal")
 
 
+@_criterion(
+    "holonomy rules",
+    "move rules exact; run_script(s1 ++ s2) = compose on 100 random scripts",
+)
 def criterion_7():
     """Holonomy rule pins plus the script concatenation homomorphism."""
-
-    def run():
-        problems = []
-        # RII inverse: d(x) = y + w sends x to 0 and y to w
-        w = Poly.word("u", "v")
-        state = Dga(
-            (
-                Generator("x", 1),
-                Generator("y", 0),
-                Generator("u", 0),
-                Generator("v", 0),
-            ),
-            {"x": add(Poly.gen("y"), w)},
-            True,
-        )
-        h, post = holonomy(RIIInv("x", "y"), state)
-        if h("x") != Poly.zero() or h("y") != w:
-            problems.append("RIIInv rule broken")
-        if post.names != frozenset({"u", "v"}):
-            problems.append("RIIInv did not remove the killed pair")
-        # RIII_b: x -> x + z y
-        state3 = Dga(
-            (Generator("x", 0), Generator("y", 0), Generator("z", 0)), {}, True
-        )
-        h3, _ = holonomy(RIIIb("x", "y", "z"), state3)
-        if h3("x") != add(Poly.gen("x"), Poly.word("z", "y")):
-            problems.append("RIIIb rule broken")
-        # RIII_a: identity
-        ha, _ = holonomy(RIIIa(), state3)
-        if ha.normalized():
-            problems.append("RIIIa is not the identity")
-        # homomorphism property over randomized formal scripts
-        rng = random.Random(20260825)
-        for trial in range(100):
-            s = _random_formal_script(rng, rng.randint(0, 6))
-            cut = rng.randint(0, len(s.events))
-            s1 = MoveScript(s.initial, s.events[:cut], "formal")
-            # formal mode composes maps without endomorphism bookkeeping, so
-            # the tail script runs against the same formal initial state
-            s2 = MoveScript(s.initial, s.events[cut:], "formal")
-            whole = run_script(s).map
-            parts = compose(run_script(s2).map, run_script(s1).map)
-            if whole != parts:
-                problems.append(f"trial {trial}: concatenation != composition")
-                break
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or (
-        "move rules exact; run_script(s1 ++ s2) = compose on 100 random scripts"
+    problems = []
+    # RII inverse: d(x) = y + w sends x to 0 and y to w
+    w = Poly.word("u", "v")
+    state = Dga(
+        (
+            Generator("x", 1),
+            Generator("y", 0),
+            Generator("u", 0),
+            Generator("v", 0),
+        ),
+        {"x": add(Poly.gen("y"), w)},
+        True,
     )
-    return ("holonomy rules", not problems, details, elapsed)
+    h, post = holonomy(RIIInv("x", "y"), state)
+    if h("x") != Poly.zero() or h("y") != w:
+        problems.append("RIIInv rule broken")
+    if post.names != frozenset({"u", "v"}):
+        problems.append("RIIInv did not remove the killed pair")
+    # RIII_b: x -> x + z y
+    state3 = Dga(
+        (Generator("x", 0), Generator("y", 0), Generator("z", 0)), {}, True
+    )
+    h3, _ = holonomy(RIIIb("x", "y", "z"), state3)
+    if h3("x") != add(Poly.gen("x"), Poly.word("z", "y")):
+        problems.append("RIIIb rule broken")
+    # RIII_a: identity
+    ha, _ = holonomy(RIIIa(), state3)
+    if ha.normalized():
+        problems.append("RIIIa is not the identity")
+    # homomorphism property over randomized formal scripts
+    rng = random.Random(20260825)
+    for trial in range(100):
+        s = _random_formal_script(rng, rng.randint(0, 6))
+        cut = rng.randint(0, len(s.events))
+        s1 = MoveScript(s.initial, s.events[:cut], "formal")
+        # formal mode composes maps without endomorphism bookkeeping, so
+        # the tail script runs against the same formal initial state
+        s2 = MoveScript(s.initial, s.events[cut:], "formal")
+        whole = run_script(s).map
+        parts = compose(run_script(s2).map, run_script(s1).map)
+        if whole != parts:
+            problems.append(f"trial {trial}: concatenation != composition")
+            break
+    return problems
 
 
 def _random_poly(rng, letters, max_words=4, max_len=3):
@@ -316,83 +299,79 @@ def _random_poly(rng, letters, max_words=4, max_len=3):
     return Poly.from_words(words)
 
 
+@_criterion(
+    "property suite",
+    "ring axioms, map laws, shrink scaling, and renaming invariance hold "
+    "on 1000 random cases each",
+)
 def criterion_8():
     """Randomized algebraic laws, >= 1000 cases per family."""
-
-    def run():
-        problems = []
-        rng = random.Random(13)
-        letters = ["a", "b", "c", "d"]
-        for trial in range(1000):
-            p = _random_poly(rng, letters)
-            q = _random_poly(rng, letters)
-            r = _random_poly(rng, letters)
-            if (
-                add(p, p) != Poly.zero()
-                or mul(Poly.one(), p) != p
-                or mul(p, Poly.one()) != p
-                or mul(mul(p, q), r) != mul(p, mul(q, r))
-                or mul(p, add(q, r)) != add(mul(p, q), mul(p, r))
-                or mul(add(p, q), r) != add(mul(p, r), mul(q, r))
-                or add(p, q) != add(q, p)
-            ):
-                problems.append(f"ring axiom failed on trial {trial}")
-                break
-        for trial in range(1000):
-            m = AlgebraMap(
-                {c: _random_poly(rng, letters, 2, 2) for c in rng.sample(letters, 2)}
-            )
-            p = _random_poly(rng, letters)
-            q = _random_poly(rng, letters)
-            if apply_map(m, mul(p, q)) != mul(apply_map(m, p), apply_map(m, q)):
-                problems.append(f"map multiplicativity failed on trial {trial}")
-                break
-            if apply_map(m, add(p, q)) != add(apply_map(m, p), apply_map(m, q)):
-                problems.append(f"map additivity failed on trial {trial}")
-                break
-        base = Dga(
-            (Generator("x", 1, Fraction(5)), Generator("y", 0, Fraction(2))),
-            {"x": Poly.gen("y")},
-            True,
+    problems = []
+    rng = random.Random(13)
+    letters = ["a", "b", "c", "d"]
+    for trial in range(1000):
+        p = _random_poly(rng, letters)
+        q = _random_poly(rng, letters)
+        r = _random_poly(rng, letters)
+        if (
+            add(p, p) != Poly.zero()
+            or mul(Poly.one(), p) != p
+            or mul(p, Poly.one()) != p
+            or mul(mul(p, q), r) != mul(p, mul(q, r))
+            or mul(p, add(q, r)) != add(mul(p, q), mul(p, r))
+            or mul(add(p, q), r) != add(mul(p, r), mul(q, r))
+            or add(p, q) != add(q, p)
+        ):
+            problems.append(f"ring axiom failed on trial {trial}")
+            break
+    for trial in range(1000):
+        m = AlgebraMap(
+            {c: _random_poly(rng, letters, 2, 2) for c in rng.sample(letters, 2)}
         )
-        for trial in range(1000):
-            u = Fraction(rng.randint(1, 8), 8)
-            v = Fraction(rng.randint(1, 8), 8)
-            if shrink(shrink(base, u), v) != shrink(base, u * v):
-                problems.append(f"shrink composition failed on trial {trial}")
-                break
-        for trial in range(1000):
-            summands = tuple(
-                rng.choice(SUMMAND_POOL) for _ in range(rng.randint(1, 2))
-            )
-            j = rng.randint(1, 2)
-            dga, fly_word = family_dga(summands)
-            mu = kalman_monodromy(fly_word, j)
-            base_v = verdict(dga, mu, "b3", "b3")
-            renaming = {
-                name: f"m{name[1]}.{name[3:]}"
-                for name in dga.names
-                if name.startswith("k")
-            }
-            dga_r = dga.rename(renaming)
-            mu_r = AlgebraMap(
-                {
-                    renaming.get(g, g): img.rename(renaming)
-                    for g, img in mu.assignments.items()
-                }
-            )
-            v_r = verdict(dga_r, mu_r, "b3", "b3")
-            if (base_v.tau_value, base_v.conclusion) != (v_r.tau_value, v_r.conclusion):
-                problems.append(f"renaming changed the verdict on trial {trial}")
-                break
-        return problems
-
-    problems, elapsed = _timed(run)
-    details = "; ".join(problems) or (
-        "ring axioms, map laws, shrink scaling, and renaming invariance hold "
-        "on 1000 random cases each"
+        p = _random_poly(rng, letters)
+        q = _random_poly(rng, letters)
+        if apply_map(m, mul(p, q)) != mul(apply_map(m, p), apply_map(m, q)):
+            problems.append(f"map multiplicativity failed on trial {trial}")
+            break
+        if apply_map(m, add(p, q)) != add(apply_map(m, p), apply_map(m, q)):
+            problems.append(f"map additivity failed on trial {trial}")
+            break
+    base = Dga(
+        (Generator("x", 1, Fraction(5)), Generator("y", 0, Fraction(2))),
+        {"x": Poly.gen("y")},
+        True,
     )
-    return ("property suite", not problems, details, elapsed)
+    for trial in range(1000):
+        u = Fraction(rng.randint(1, 8), 8)
+        v = Fraction(rng.randint(1, 8), 8)
+        if shrink(shrink(base, u), v) != shrink(base, u * v):
+            problems.append(f"shrink composition failed on trial {trial}")
+            break
+    for trial in range(1000):
+        summands = tuple(
+            rng.choice(SUMMAND_POOL) for _ in range(rng.randint(1, 2))
+        )
+        j = rng.randint(1, 2)
+        dga, fly_word = family_dga(summands)
+        mu = kalman_monodromy(fly_word, j)
+        base_v = verdict(dga, mu, "b3", "b3")
+        renaming = {
+            name: f"m{name[1]}.{name[3:]}"
+            for name in dga.names
+            if name.startswith("k")
+        }
+        dga_r = dga.rename(renaming)
+        mu_r = AlgebraMap(
+            {
+                renaming.get(g, g): img.rename(renaming)
+                for g, img in mu.assignments.items()
+            }
+        )
+        v_r = verdict(dga_r, mu_r, "b3", "b3")
+        if (base_v.tau_value, base_v.conclusion) != (v_r.tau_value, v_r.conclusion):
+            problems.append(f"renaming changed the verdict on trial {trial}")
+            break
+    return problems
 
 
 # `legch verify` target name -> criterion, in the order `all` runs them

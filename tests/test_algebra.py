@@ -205,6 +205,22 @@ class TestLazyConsistency:
             prod.expand()
 
 
+class TestZeroTest:
+    def test_disjoint_sum_of_zero_valued_terms(self, monkeypatch):
+        lazy(monkeypatch)
+        z = add(mul(P("a + b"), P("a + b")), P("a a + a b + b a + b b"))
+        s = add(mul(z, P("x")), mul(z, P("y")))
+        assert not s.is_explicit
+        assert s.length() == 0 and s == Poly.zero()
+        assert not s
+
+    def test_disjoint_sum_with_a_nonzero_term(self, monkeypatch):
+        lazy(monkeypatch)
+        z = add(mul(P("a + b"), P("a + b")), P("a a + a b + b a + b b"))
+        s = add(mul(z, P("x")), mul(P("a + b"), P("y")))
+        assert s and s.length() == 2
+
+
 class TestRename:
     def test_explicit(self):
         p = P("1 + b2 + b1 b2")

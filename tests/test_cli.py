@@ -1,5 +1,6 @@
 """End-to-end tests for the `legch` command-line front end."""
 
+import io
 import json
 
 import pytest
@@ -110,8 +111,6 @@ class TestPipeline:
         assert len(manifest["outputs"][str(dga_path)]) == 64
 
     def test_stdin(self, capsys, tmp_path, monkeypatch):
-        import io
-
         dga_path = tmp_path / "dga.json"
         run_cli(capsys, "build", "torus", "--n", "3", "--emit", str(dga_path))
         monkeypatch.setattr("sys.stdin", io.StringIO(dga_path.read_text()))
@@ -166,12 +165,76 @@ class TestScript:
         assert status == 1
         assert "malformed script.v1 document" in err
 
+    def test_rii_relabel_riiinv(self, capsys, tmp_path):
+        doc = script_doc()
+        doc["initial"]["generators"] = [{"name": f"g{i}", "degree": 0} for i in range(4)]
+        doc["events"] = [
+            {
+                "type": "RII",
+                "x": {"name": "x", "degree": 1},
+                "y": {"name": "y", "degree": 0},
+                "new_differentials": {"x": "y + g0 g1"},
+            },
+            {"type": "RIIIb", "x": "g2", "y": "y", "z": "g3"},
+            {"type": "Relabel", "perm": {"g0": "g1", "g1": "g0"}},
+            {"type": "RIIInv", "x": "x", "y": "y"},
+        ]
+        status, out, _ = self.run_doc(capsys, tmp_path, doc)
+        assert status == 0
+        assert json.loads(out)["map"] == {"g0": "g1", "g1": "g0", "g2": "g2 + g3 g1 g0"}
+
+    @pytest.mark.parametrize("degree", [1.5, "1", True])
+    def test_rii_birth_degree_not_integer(self, capsys, tmp_path, degree):
+        doc = script_doc()
+        doc["events"] = [
+            {"type": "RII", "x": {"name": "p", "degree": degree}, "y": {"name": "q", "degree": 0}}
+        ]
+        status, _, err = self.run_doc(capsys, tmp_path, doc)
+        assert status == 1
+        assert "malformed script.v1 document" in err and "not an integer" in err
+
     def test_malformed_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
         status, _, err = run_cli(capsys, "script", "run", str(path))
         assert status == 1
         assert "error" in err
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "argv, schema",
+        [(["tangle"], "dga.v1"), (["word"], "tangle.v1"), (["script", "run"], "script.v1")],
+    )
+    def test_not_an_object(self, capsys, monkeypatch, argv, schema):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+        status, out, err = run_cli(capsys, *argv, "-")
+        assert status == 1 and not out
+        assert f"malformed {schema} document: not a JSON object" in err
+
+    def test_bad_generator_in_tangle_word(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "build", "torus", "--n", "3")
+        dga_path = tmp_path / "dga.json"
+        dga_path.write_text(out)
+        _, out, _ = run_cli(capsys, "tangle", str(dga_path))
+        doc = json.loads(out)
+        doc["word"] = "a + b!"
+        path = tmp_path / "tangle.json"
+        path.write_text(json.dumps(doc))
+        status, _, err = run_cli(capsys, "word", str(path))
+        assert status == 1
+        assert "malformed tangle.v1 document: invalid generator name: 'b!'" in err
+
+    @pytest.mark.parametrize("degree", [1.5, "1", True])
+    def test_degree_not_integer(self, capsys, tmp_path, degree):
+        _, out, _ = run_cli(capsys, "build", "torus", "--n", "3")
+        doc = json.loads(out)
+        doc["generators"][0]["degree"] = degree
+        path = tmp_path / "dga.json"
+        path.write_text(json.dumps(doc))
+        status, _, err = run_cli(capsys, "classify", str(path))
+        assert status == 1
+        assert f"malformed dga.v1 document: degree {degree!r} is not an integer" in err
 
 
 class TestVerdict:

@@ -131,6 +131,17 @@ class TestDegreeMessages:
         ]
 
 
+class TestWordDegreeBounds:
+    def test_symbolic_with_negative_degree(self, monkeypatch):
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        p = mul(P("x + y"), P("y z + z"))
+        assert not p.is_explicit
+        dga = Dga((Generator("x", 1), Generator("y", -1), Generator("z", 0)), {}, True)
+        # words x y z, x z, y y z, y z of degrees 0, 1, -2, -1
+        degrees = [dga.word_degree(w) for w in p.words()]
+        assert dga.word_degree_bounds(p) == (min(degrees), max(degrees)) == (-2, 1)
+
+
 class TestShrink:
     def base(self):
         return Dga(
@@ -199,6 +210,12 @@ class TestJson:
     def test_rotation_zero_must_be_boolean(self):
         doc = dga_to_dict(torus_knot_dga(3))
         doc["rotation_zero"] = "false"
+        with pytest.raises(DgaError, match="malformed dga.v1 document"):
+            dga_from_dict(doc)
+
+    def test_differential_must_be_an_object(self):
+        doc = dga_to_dict(torus_knot_dga(3))
+        doc["differential"] = ["a1"]
         with pytest.raises(DgaError, match="malformed dga.v1 document"):
             dga_from_dict(doc)
 

@@ -1,10 +1,12 @@
 """Property-based tests for the algebra, maps, and serialization."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legch import algebra
 from legch.algebra import (
     AlgebraMap,
     Poly,
@@ -106,6 +108,50 @@ class TestEquality:
     def test_differs_by_a_word(self, p, q, w):
         s = mul(p, q)
         assert s != add(s, Poly.word(*w))
+
+
+# Pairs for the injectivity certificate, over a, b and the marker letters m
+# and n.  A leaf is a list of distinct words, with or without the unit.
+# Besides free leaves and their sums and products, draw X M, whose nonempty
+# words end with m when M lacks the unit, its mirror N Y, and sums of each;
+# inner nodes become symbolic under LAZY_THRESHOLD = 0.
+
+
+def leaves(words):
+    return st.tuples(st.lists(words, min_size=1, max_size=3, unique=True), st.booleans()).map(
+        lambda t: t[0] + [()] * t[1]
+    )
+
+
+ab = st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=2).map(tuple)
+free = leaves(st.lists(st.sampled_from(("a", "b", "m", "n")), max_size=3).map(tuple))
+x_m = st.tuples(st.just(mul), leaves(ab), leaves(ab.map(lambda w: w + ("m",))))
+n_y = st.tuples(st.just(mul), leaves(ab.map(lambda w: ("n",) + w)), leaves(ab))
+ends_m = st.one_of(x_m, st.tuples(st.just(add), x_m, x_m))
+begins_n = st.one_of(n_y, st.tuples(st.just(add), n_y, n_y))
+sides = st.one_of(free, st.tuples(st.sampled_from((add, mul)), free, free), ends_m, begins_n)
+seam_pairs = st.one_of(
+    st.tuples(sides, sides), st.tuples(ends_m, sides), st.tuples(sides, begins_n)
+)
+
+
+def build(tree):
+    if isinstance(tree, list):
+        return Poly.from_words(tree)
+    op, left, right = tree
+    return op(build(left), build(right))
+
+
+class TestInjectivityCertificate:
+    @settings(max_examples=200)
+    @given(seam_pairs)
+    def test_certified_concatenations_are_distinct(self, pair):
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            a, g = map(build, pair)
+            if algebra._pair_injective(a, g):
+                words_a, words_g = a.expand(), g.expand()
+                joined = {u + v for u in words_a for v in words_g}
+                assert len(joined) == len(words_a) * len(words_g)
 
 
 class TestLengthAndSlices:
