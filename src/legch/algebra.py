@@ -370,59 +370,44 @@ class Poly:
     def tau(self, g: str) -> int:
         return self._top_stats(g)[1]
 
-    @_memo("top")
     def _top_stats(self, g: str) -> tuple[int, int]:
-        """Exact (max multiplicity of g, number of words attaining it).
-
-        Convention for the zero polynomial: (0, 0).
-        """
-        if self._kind == _KIND_EXPLICIT:
-            if not self._words:
-                return (0, 0)
-            counts = [w.count(g) for w in self._words]
-            m = max(counts)
-            return (m, counts.count(m))
-        children = self._children
-        parts = [c._top_stats(g) for c in children]
-        if self._kind == _KIND_PRODUCT:
-            # The top slice of a product is the product of the top slices.
-            if self._injective:
-                t = math.prod(p[1] for p in parts)
-            else:
-                slices = [c.slice(g, p[0]) for c, p in zip(children, parts)]
-                t = _make_product(slices).length()
-            # no zero divisors: t is 0 only when a factor is zero
-            return (sum(p[0] for p in parts), t) if t else (0, 0)
-        # Sum node.  Words with fewer than the maximal multiplicity can never
-        # cancel against words attaining it, so lower terms are irrelevant.
-        m = max(p[0] for p in parts)
-        tops = [(c, p[1]) for c, p in zip(children, parts) if p[0] == m]
-        if len(tops) == 1:
-            return (m, tops[0][1])
-        slices = [c.slice(g, m) for c, _ in tops]
-        if _pairwise_disjoint(slices):
-            return (m, sum(t for _, t in tops))
-        t = _make_sum(slices).length()
-        if t:
-            return (m, t)
-        # the top slices cancel: the maximum lies lower
-        return Poly._explicit(self.expand())._top_stats(g)
+        """Exact (max multiplicity of g, number of words attaining it): the
+        highest nonzero slice and its length; (0, 0) for the zero polynomial."""
+        lo, hi = self.count_bounds(g)
+        for k in range(hi, lo - 1, -1):
+            t = self.slice(g, k).length()
+            if t:
+                return (k, t)
+        return (0, 0)
 
     def slice(self, g: str, k: int) -> "Poly":
-        """The sub-polynomial of words with exactly k occurrences of g."""
-        if self._kind == _KIND_EXPLICIT:
-            return Poly._explicit(frozenset(w for w in self._words if w.count(g) == k))
-        if self._kind == _KIND_SUM:
-            return _make_sum([t.slice(g, k) for t in self._children])
-        a, b = self._children
-        alo, ahi = a.count_bounds(g)
-        blo, bhi = b.count_bounds(g)
-        return _make_sum(
-            [
-                _make_product([a.slice(g, i), b.slice(g, k - i)])
-                for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
-            ]
-        )
+        """The sub-polynomial of words with exactly k occurrences of g.  It
+        keeps certificates: subsets of disjoint sets are disjoint, and an
+        injective product restricted to A_i x B_(k-i), domains disjoint for
+        different i, stays injective with disjoint images."""
+        done: dict = {}
+
+        def walk(p: Poly, k: int) -> Poly:
+            if g not in p.alphabet():
+                return p if k == 0 else _ZERO
+            if p._kind == _KIND_EXPLICIT:
+                return Poly._explicit(frozenset(w for w in p._words if w.count(g) == k))
+            key = (p._token, k)
+            if key not in done:
+                if p._kind == _KIND_SUM:
+                    parts = [walk(t, k) for t in p._children]
+                else:
+                    a, b = p._children
+                    (alo, ahi), (blo, bhi) = a.count_bounds(g), b.count_bounds(g)
+                    parts = [
+                        _make_product([walk(a, i), walk(b, k - i)], injective=p._injective)
+                        for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
+                    ]
+                certified = p._disjoint or p._injective
+                done[key] = unsafe_disjoint_sum(parts) if certified else _make_sum(parts)
+            return done[key]
+
+        return walk(self, k)
 
     # -- algebra -----------------------------------------------------------
 
@@ -590,6 +575,9 @@ def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     # a letter every word of one side carries, absent from the other side
     if not a.mandatory() <= b.alphabet() or not b.mandatory() <= a.alphabet():
         return True
+    # the unit's one word is the empty word
+    if a is _ONE or b is _ONE:
+        return not (a.has_unit() and b.has_unit())
     if a.is_explicit and b.is_explicit:
         return a._words.isdisjoint(b._words)
     return False

@@ -50,20 +50,26 @@ class _Run:
 
     def read(self, path: str):
         if path == "-":
-            text = sys.stdin.read()
+            raw = sys.stdin.buffer.read()
         else:
-            with open(path) as fh:
-                text = fh.read()
-        self.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        self.inputs[path] = hashlib.sha256(raw).hexdigest()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DgaError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+        del raw  # as large as the text: parse without holding both
         return json.loads(text)
 
     def emit(self, args, data) -> None:
         text = _dump(data)
         path = getattr(args, "emit", None)
         if path:
-            with open(path, "w") as fh:
-                fh.write(text)
-            self.outputs[path] = hashlib.sha256(text.encode()).hexdigest()
+            raw = text.encode()
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            self.outputs[path] = hashlib.sha256(raw).hexdigest()
         else:
             sys.stdout.write(text)
 

@@ -221,6 +221,29 @@ class TestZeroTest:
         assert s and s.length() == 2
 
 
+class TestUnitDisjointness:
+    def build(self):
+        # a certified sum of a, b, a b and c, d, c d: no unit, but its word
+        # lengths start at 0 (each term's unit cancels) and no letter is
+        # mandatory
+        terms = [add(mul(P(f"1 + {x}"), P(f"1 + {y}")), Poly.one()) for x, y in ("ab", "cd")]
+        return unsafe_disjoint_sum(terms)
+
+    def test_certificate(self, monkeypatch):
+        lazy(monkeypatch)
+        z = self.build()
+        assert algebra._certainly_disjoint(Poly.one(), z)
+        assert algebra._certainly_disjoint(z, Poly.one())
+        assert not algebra._certainly_disjoint(Poly.one(), add(z, Poly.one()))
+
+    def test_length_of_a_sum_with_the_unit(self, monkeypatch):
+        lazy(monkeypatch)
+        s = add(add(self.build(), mul(P("e"), P("e + f"))), Poly.one())
+        # the unit is one of three terms: only certificates can count them
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert s.length() == 6 + 2 + 1
+
+
 class TestRename:
     def test_explicit(self):
         p = P("1 + b2 + b1 b2")

@@ -51,6 +51,14 @@ class TestPathMatrix:
         # among all of its mandatory letters
         assert path_matrix(61).lengths() == fibonacci_lengths(61)
 
+    @pytest.mark.parametrize("n", [21, 61, 161])
+    def test_tau_past_expansion(self, n, monkeypatch):
+        # b1 occurs at most once in a word of B11, and F(n) words carry it
+        entry = path_matrix(n)[1, 1]
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert entry.max_count("b1") == 1
+        assert entry.tau("b1") == fibonacci_lengths(n)[1]
+
     def test_too_small(self):
         with pytest.raises(TooSmall):
             path_matrix(0)

@@ -1,11 +1,20 @@
 """End-to-end tests for the `legch` command-line front end."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from legch.cli import main
+
+
+def sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+def stdin_bytes(raw: bytes):
+    return io.TextIOWrapper(io.BytesIO(raw))
 
 
 def run_cli(capsys, *argv):
@@ -108,12 +117,38 @@ class TestPipeline:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["schema"] == "manifest.v1"
         assert str(dga_path) in manifest["outputs"]
-        assert len(manifest["outputs"][str(dga_path)]) == 64
+        assert manifest["outputs"][str(dga_path)] == sha256(dga_path.read_bytes())
+
+    def test_manifest_hashes_the_bytes_read(self, capsys, tmp_path, monkeypatch):
+        # a CRLF copy is hashed as it is on disk, not after newline translation
+        _, out, _ = run_cli(capsys, "build", "torus", "--n", "3")
+        raw = out.replace("\n", "\r\n").encode()
+        dga_path = tmp_path / "dga.json"
+        dga_path.write_bytes(raw)
+        manifest_path = tmp_path / "manifest.json"
+        monkeypatch.setattr("sys.stdin", stdin_bytes(raw))
+        for source in (str(dga_path), "-"):
+            status, _, _ = run_cli(
+                capsys, "tangle", source, "--manifest", str(manifest_path)
+            )
+            assert status == 0
+            inputs = json.loads(manifest_path.read_text())["inputs"]
+            assert inputs == {source: sha256(raw)}
+
+    def test_document_not_utf8_exits_1(self, capsys, tmp_path, monkeypatch):
+        raw = b'{"schema": "dga.v1\xff"}'
+        path = tmp_path / "dga.json"
+        path.write_bytes(raw)
+        monkeypatch.setattr("sys.stdin", stdin_bytes(raw))
+        for source in (str(path), "-"):
+            status, out, err = run_cli(capsys, "tangle", source)
+            assert status == 1 and not out
+            assert err == f"error: {source} is not UTF-8: invalid start byte at byte 18\n"
 
     def test_stdin(self, capsys, tmp_path, monkeypatch):
         dga_path = tmp_path / "dga.json"
         run_cli(capsys, "build", "torus", "--n", "3", "--emit", str(dga_path))
-        monkeypatch.setattr("sys.stdin", io.StringIO(dga_path.read_text()))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(dga_path.read_bytes()))
         status, out, _ = run_cli(capsys, "tangle", "-")
         assert status == 0
         assert json.loads(out)["schema"] == "tangle.v1"
@@ -207,7 +242,7 @@ class TestMalformedDocuments:
         [(["tangle"], "dga.v1"), (["word"], "tangle.v1"), (["script", "run"], "script.v1")],
     )
     def test_not_an_object(self, capsys, monkeypatch, argv, schema):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"[]"))
         status, out, err = run_cli(capsys, *argv, "-")
         assert status == 1 and not out
         assert f"malformed {schema} document: not a JSON object" in err
@@ -260,6 +295,13 @@ class TestVerdict:
             main(["verdict", "--fly", "3,x"])
         assert exc.value.code == 2
         assert "--fly" in capsys.readouterr().err
+
+    def test_fly_19(self, capsys):
+        # its top slices are certified, so tau never expands
+        status, out, _ = run_cli(capsys, "verdict", "--fly", "19")
+        assert status == 0
+        entries = json.loads(out)["entries"]
+        assert [e["conclusion"] for e in entries] == ["nontrivial"] * 3
 
     def test_mu_witness_length_null_past_expansion_cap(self, capsys):
         # l(mu^3(b3)) is only bounded (6 280 036 > EXPANSION_CAP): the verdict

@@ -1,9 +1,12 @@
 """Unit tests for the tau-parity certificate and nontriviality verdicts."""
 
+import math
+
 import pytest
 
+from legch import algebra
 from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str
-from legch.builders import torus_knot_dga, torus_tangle
+from legch.builders import fibonacci_lengths, torus_knot_dga, torus_tangle
 from legch.dga import Dga, Generator, UnknownGenerator
 from legch.moves import kalman_monodromy
 from legch.obstruction import (
@@ -128,3 +131,16 @@ class TestTauValues:
         v = family_verdicts((3,), (4,))[4]
         assert v.tau_value == 250
         assert v.conclusion == "inconclusive"
+
+    @pytest.mark.parametrize("fly", [(19,), (21,), (45,), (21, 45)])
+    def test_large_flies_without_expansion(self, fly, monkeypatch):
+        dga, fly_word = family_dga(fly)
+        mus = {j: kalman_monodromy(fly_word, j) for j in (1, 2, 3)}
+        # l(W) = prod (F(n)^2 + F(n-1)), far past any expansion
+        _, f, _, f_prev = zip(*map(fibonacci_lengths, fly))
+        l_w = math.prod(a * a + b for a, b in zip(f, f_prev))
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert fly_word.length() == l_w
+        for j, tau in ((1, 1), (2, 1), (3, 2 * l_w**2 + 1)):
+            v = verdict(dga, mus[j], "b3", "b3")
+            assert (v.tau_value, v.certificate_ok, v.conclusion) == (tau, True, "nontrivial")

@@ -1,5 +1,6 @@
 """Property-based tests for the algebra, maps, and serialization."""
 
+import itertools
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -15,6 +16,8 @@ from legch.algebra import (
     mul,
     poly_from_str,
     poly_to_str,
+    unsafe_disjoint_sum,
+    unsafe_injective_product,
 )
 from legch.dga import Dga, Generator, check_dga, degree_from_rotation, shrink
 
@@ -135,11 +138,11 @@ seam_pairs = st.one_of(
 )
 
 
-def build(tree):
+def build(tree, leaf=Poly.from_words):
     if isinstance(tree, list):
-        return Poly.from_words(tree)
+        return leaf(tree)
     op, left, right = tree
-    return op(build(left), build(right))
+    return op(build(left, leaf), build(right, leaf))
 
 
 class TestInjectivityCertificate:
@@ -154,7 +157,88 @@ class TestInjectivityCertificate:
                 assert len(joined) == len(words_a) * len(words_g)
 
 
+def cancel(p, q):
+    """p + q + p: equal to q, but built with the p terms in it."""
+    return add(add(p, q), p)
+
+
+# lazy values once built under LAZY_THRESHOLD = 0
+lazy_trees = st.recursive(
+    st.lists(words, max_size=4),
+    lambda inner: st.tuples(st.sampled_from((add, mul, cancel)), inner, inner),
+    max_leaves=6,
+)
+
+
+def certified_sum(p, q):
+    return unsafe_disjoint_sum([p, q])
+
+
+def certified_product(p, q):
+    return unsafe_injective_product([p, q])
+
+
+# the same shapes with the caller-asserted certificates in them; the parts
+# are unit-free and each leaf has a namespace of its own, so every
+# assertion holds
+nonempty = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3).map(tuple)
+certified_trees = st.recursive(
+    st.lists(nonempty, min_size=1, max_size=3),
+    lambda inner: st.tuples(
+        st.sampled_from((add, mul, certified_sum, certified_product)), inner, inner
+    ),
+    max_leaves=5,
+)
+
+
+def namespaced(spaces):
+    def leaf(ws):
+        k = next(spaces)
+        return Poly.from_words([[f"k{k}.{c}" for c in w] for w in ws])
+
+    return leaf
+
+
+def assert_certificates_hold(p):
+    """Every certificate in the DAG under p holds on the expanded words."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        parts = [c.expand() for c in q._children]
+        if q._disjoint:
+            assert sum(map(len, parts)) == len(frozenset().union(*parts))
+        if q._injective:
+            a, b = parts
+            assert len({u + v for u in a for v in b}) == len(a) * len(b)
+        stack.extend(q._children)
+
+
+def assert_top_stats_match_expansion(p, g):
+    words = p.expand()
+    counts = [w.count(g) for w in words]
+    top = max(counts, default=0)
+    assert p.max_count(g) == top
+    assert p.tau(g) == counts.count(top)
+    for k in range(top + 2):
+        s = p.slice(g, k)
+        assert s.expand() == {w for w in words if w.count(g) == k}
+        assert_certificates_hold(s)
+
+
 class TestLengthAndSlices:
+    @settings(deadline=None)
+    @given(lazy_trees, st.sampled_from(LETTERS))
+    def test_lazy_slices_match_expansion(self, tree, g):
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            assert_top_stats_match_expansion(build(tree), g)
+
+    @settings(deadline=None)
+    @given(certified_trees, st.integers(0, 4), st.sampled_from(LETTERS))
+    def test_certified_slices_match_expansion(self, tree, k, c):
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            p = build(tree, namespaced(itertools.count()))
+            assert_top_stats_match_expansion(p, f"k{k}.{c}")
+
     @given(words, polys, words)
     def test_sandwich_preserves_length(self, u, p, v):
         sandwich = mul(mul(Poly.word(*u), p), Poly.word(*v))
