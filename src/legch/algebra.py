@@ -27,7 +27,7 @@ import math
 import re
 import sys
 import weakref
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Word = tuple[str, ...]
 EMPTY_WORD: Word = ()
@@ -54,14 +54,19 @@ class BadGeneratorName(AlgebraError):
     pass
 
 
+# Each name that passed _NAME_RE, mapped to its interned string: a document
+# repeats a few dozen names hundreds of thousands of times.  A rejected name
+# is never stored, so it raises again.
+_CHECKED: dict[str, str] = {}
+
+
 def check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise BadGeneratorName(f"invalid generator name: {name!r}")
-    return sys.intern(name)
-
-
-def _word_key(w: Word) -> tuple[int, Word]:
-    return (len(w), w)
+    checked = _CHECKED.get(name)
+    if checked is None:
+        if not _NAME_RE.match(name):
+            raise BadGeneratorName(f"invalid generator name: {name!r}")
+        checked = _CHECKED[name] = sys.intern(name)
+    return checked
 
 
 _KIND_EXPLICIT = "x"
@@ -168,7 +173,7 @@ class Poly:
     def from_words(words: Iterable[Iterable[str]]) -> "Poly":
         acc: set[Word] = set()
         for w in words:
-            word = tuple(check_name(c) for c in w)
+            word = tuple(map(check_name, w))
             if word in acc:
                 acc.discard(word)
             else:
@@ -334,7 +339,9 @@ class Poly:
 
     def canonical_words(self) -> list[Word]:
         """Words in length-then-lexicographic order."""
-        return sorted(self.expand(), key=_word_key)
+        ws = sorted(self.expand())
+        ws.sort(key=len)  # stable: lexicographic within each length
+        return ws
 
     # -- statistics --------------------------------------------------------
 
@@ -476,12 +483,12 @@ class Poly:
         return hash(self.expand())
 
     def __repr__(self) -> str:
-        if self.size_bound() <= 16 or self.is_explicit:
-            try:
-                return f"Poly({poly_to_str(self)!r})"
-            except ExpansionTooLarge:  # pragma: no cover
-                pass
-        return f"Poly(<symbolic, <= {self.size_bound()} words>)"
+        n = self.size_bound()
+        if n <= 16:
+            return f"Poly({poly_to_str(self)!r})"
+        if self.is_explicit:
+            return f"Poly(<explicit, {n} words>)"
+        return f"Poly(<symbolic, <= {n} words>)"
 
 
 class _Make:
@@ -948,18 +955,22 @@ def poly_from_str(text: str) -> Poly:
         return _ZERO
     if not text:
         raise AlgebraError("empty polynomial string (write '0' for zero)")
-    words: list[Word] = []
+    return Poly.from_words(_terms(text))
+
+
+def _terms(text: str) -> Iterator[Sequence[str]]:
+    """The words of a nonzero polynomial string one at a time, in reading
+    order; their letters are checked by Poly.from_words."""
     for term in text.split("+"):
-        term = term.strip()
-        if not term:
+        letters = term.split()
+        if not letters:
             raise AlgebraError(f"malformed polynomial string: {text!r}")
-        if term == "1":
-            words.append(EMPTY_WORD)
-        elif term == "0":
+        if letters == ["1"]:
+            yield EMPTY_WORD
+        elif letters == ["0"]:
             raise AlgebraError("'0' is only valid as the whole polynomial")
         else:
-            words.append(tuple(check_name(c) for c in term.split()))
-    return Poly.from_words(words)
+            yield letters
 
 
 def word_to_str(w: Word) -> str:

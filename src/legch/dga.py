@@ -76,14 +76,13 @@ class Dga:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownGenerator(name) from None
+            raise UnknownGenerator(f"unknown generator {name!r}") from None
 
     def degree(self, name: str) -> int:
         return self.generator(name).degree
 
     def d(self, name: str) -> Poly:
-        if name not in self._index:
-            raise UnknownGenerator(name)
+        self.generator(name)  # raises UnknownGenerator
         return self.differential.get(name, Poly.zero())
 
     def rename(self, mapping: Mapping[str, str]) -> Dga:
@@ -91,8 +90,7 @@ class Dga:
         mapping must be injective and may not hit an unmoved generator.
         Every image goes through Poly.rename, which keeps certificates."""
         for old in mapping:
-            if old not in self._index:
-                raise UnknownGenerator(old)
+            self.generator(old)  # raises UnknownGenerator
         targets = set(mapping.values())
         if len(targets) != len(mapping):
             raise DgaError("renaming is not injective")
@@ -119,7 +117,7 @@ class Dga:
         # every word contributes nothing.
         for c in p.alphabet():
             if c not in index and p.max_count(c) > 0:
-                raise UnknownGenerator(c)
+                raise UnknownGenerator(f"unknown generator {c!r}")
         if p.is_explicit:
             ws = p.words()
             if not ws:

@@ -1,6 +1,7 @@
 """Unit tests for the free Z2 algebra layer."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -140,6 +141,72 @@ class TestSerialization:
             P("a + 0")
         with pytest.raises(algebra.BadGeneratorName):
             P("a + b!c")
+
+    def test_errors_in_reading_order(self):
+        with pytest.raises(algebra.BadGeneratorName, match="invalid generator name: 'b!'"):
+            P("b! + ")
+        with pytest.raises(algebra.AlgebraError, match="malformed polynomial string: '\\+ b!'"):
+            P(" + b!")
+        with pytest.raises(algebra.AlgebraError, match="'0' is only valid as the whole polynomial"):
+            P("a + 0")
+        assert P("a + a") is Poly.zero()
+
+
+class CountingRegex:
+    """Stands in for algebra._NAME_RE and counts its match calls."""
+
+    def __init__(self, regex):
+        self.regex = regex
+        self.calls = 0
+
+    def match(self, name):
+        self.calls += 1
+        return self.regex.match(name)
+
+
+class TestNameCheck:
+    @pytest.fixture
+    def regex(self, monkeypatch):
+        # a fresh table, so every name is new to check_name
+        monkeypatch.setattr(algebra, "_CHECKED", {})
+        counting = CountingRegex(algebra._NAME_RE)
+        monkeypatch.setattr(algebra, "_NAME_RE", counting)
+        return counting
+
+    def test_each_name_matched_once(self, regex):
+        names = [f"g{i}" for i in range(5)]
+        words = list(itertools.islice(itertools.product(names, repeat=6), 5000))
+        text = " + ".join(" ".join(w) for w in words)
+        assert P(text).length() == 5000
+        assert regex.calls <= 5
+        regex.calls = 0
+        assert P(text).length() == 5000
+        assert regex.calls == 0
+
+    def test_rejected_name_not_stored(self, regex):
+        for _ in range(2):
+            with pytest.raises(algebra.BadGeneratorName, match="invalid generator name: 'b!'"):
+                algebra.check_name("b!")
+        assert regex.calls == 2
+        assert "b!" not in algebra._CHECKED
+
+    def test_checked_names_are_interned(self, regex):
+        name = "".join(["k1.", "b3"])
+        assert algebra.check_name(name) is sys.intern("k1.b3")
+        assert algebra.check_name("".join(["k1.", "b3"])) is sys.intern("k1.b3")
+
+
+class TestRepr:
+    def test_small_values_print_their_words(self, monkeypatch):
+        assert repr(P("b1 b2 + 1")) == "Poly('1 + b1 b2')"
+        lazy(monkeypatch)
+        assert repr(mul(P("a + b"), P("c"))) == "Poly('a c + b c')"
+
+    def test_large_values_print_their_size(self, monkeypatch):
+        words = P(" + ".join(f"g{i}" for i in range(17)))
+        assert repr(words) == "Poly(<explicit, 17 words>)"
+        lazy(monkeypatch)
+        assert repr(mul(words, words)) == "Poly(<symbolic, <= 289 words>)"
 
 
 def lazy(monkeypatch):

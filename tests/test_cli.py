@@ -290,6 +290,12 @@ class TestVerdict:
         assert status == 1
         assert "error" in err
 
+    def test_unknown_witness_is_named(self, capsys):
+        status, out, err = run_cli(capsys, "verdict", "--fly", "3", "--witness", "zz")
+        assert status == 1
+        assert out == ""
+        assert err == "error: unknown generator 'zz'\n"
+
     def test_fly_not_integers_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verdict", "--fly", "3,x"])

@@ -258,6 +258,7 @@ class TestSerialization:
     @given(polys)
     def test_round_trip(self, p):
         assert poly_from_str(poly_to_str(p)) == p
+        assert p.canonical_words() == sorted(p.expand(), key=lambda w: (len(w), w))
 
     @given(polys)
     def test_canonical(self, p):
