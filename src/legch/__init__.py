@@ -7,14 +7,10 @@ from .algebra import (
     ExpansionTooLarge,
     Poly,
     add,
-    apply_map,
     compose,
-    length,
-    max_count,
     mul,
     poly_from_str,
     poly_to_str,
-    tau,
 )
 
 __version__ = "0.1.0"
@@ -24,13 +20,9 @@ __all__ = [
     "ExpansionTooLarge",
     "Poly",
     "add",
-    "apply_map",
     "compose",
-    "length",
-    "max_count",
     "mul",
     "poly_from_str",
     "poly_to_str",
-    "tau",
     "__version__",
 ]

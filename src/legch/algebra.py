@@ -202,14 +202,10 @@ class Poly:
         return self.length() != 0
 
     def is_singleton(self) -> bool:
-        """True when the value is certainly a single word."""
-        if self._kind == _KIND_EXPLICIT:
-            return len(self._words) == 1
-        return self._singleton()
-
-    @_memo("singleton")
-    def _singleton(self) -> bool:
-        return self._kind == _KIND_PRODUCT and all(f.is_singleton() for f in self._children)
+        """True when the value is certainly a single word: no composite
+        node has a zero child, so a sum's bound is at least 2 and a
+        product's is 1 exactly when every factor's is."""
+        return self.size_bound() == 1
 
     def the_word(self) -> Word:
         """The unique word of a singleton polynomial."""
@@ -853,18 +849,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return _node(_KIND_PRODUCT, (p, q))
 
 
-def length(p: Poly) -> int:
-    return p.length()
-
-
-def max_count(p: Poly, g: str) -> int:
-    return p.max_count(check_name(g))
-
-
-def tau(p: Poly, g: str) -> int:
-    return p.tau(check_name(g))
-
-
 class AlgebraMap:
     """A generator-to-polynomial substitution, applied as a unital
     algebra homomorphism.  Unmapped generators are fixed."""
@@ -933,10 +917,6 @@ def _apply_node(p: Poly, children: list[Poly]) -> Poly:
     if p._kind == _KIND_PRODUCT:
         return functools.reduce(mul, children)
     return functools.reduce(add, children)
-
-
-def apply_map(m: AlgebraMap, p: Poly) -> Poly:
-    return m.apply(p)
 
 
 def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import (
-    AlgebraError,
     Poly,
     add,
     check_name,
@@ -24,7 +23,7 @@ from .algebra import (
     unsafe_disjoint_sum,
     unsafe_injective_product,
 )
-from .dga import Dga, DgaError, Generator, check_document, dga_from_dict, dga_to_dict
+from .dga import Dga, DgaError, Generator, dga_from_dict, dga_to_dict, reading
 
 
 class BuilderError(DgaError):
@@ -232,12 +231,9 @@ def tangle_to_dict(t: Tangle) -> dict:
 
 
 def tangle_from_dict(data: Mapping) -> Tangle:
-    check_document(data, "tangle.v1")
-    try:
+    with reading(data, "tangle.v1"):
         return Tangle(
             dga_from_dict(data["internal"]),
             poly_from_str(data["word"]),
             data.get("prefix", ""),
         )
-    except (KeyError, TypeError, ValueError, AlgebraError, DgaError) as exc:
-        raise BuilderError(f"malformed tangle.v1 document: {exc}") from exc

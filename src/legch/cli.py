@@ -27,9 +27,9 @@ from .builders import (
     tangle_to_dict,
     torus_knot_dga,
 )
-from .dga import DgaError, check_document, dga_from_dict, dga_to_dict, generator_from_dict
-from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, kalman_monodromy, run_script
-from .obstruction import family_dga, verdict
+from .dga import DgaError, dga_from_dict, dga_to_dict, generator_from_dict, reading
+from .moves import MoveScript, RII, RIIInv, RIIIa, RIIIb, Relabel, run_script
+from .obstruction import family_verdicts
 from .verify import CRITERIA
 
 AUDIT_CAP = 200_000
@@ -145,15 +145,12 @@ def _event_from_dict(entry: dict):
 
 def cmd_script(run: _Run, args) -> int:
     doc = run.read(args.input)
-    check_document(doc, "script.v1")
-    try:
+    with reading(doc, "script.v1"):
         script = MoveScript(
             dga_from_dict(doc["initial"]),
             tuple(_event_from_dict(e) for e in doc["events"]),
             doc.get("mode", "verified"),
         )
-    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError, DgaError) as exc:
-        raise DgaError(f"malformed script.v1 document: {exc}") from exc
     monodromy = run_script(script)
     run.emit(
         args,
@@ -174,18 +171,15 @@ def summands(text: str) -> tuple[int, ...]:
 
 
 def cmd_verdict(run: _Run, args) -> int:
-    dga, fly_word = family_dga(args.fly)
+    verdicts = family_verdicts(args.fly, args.power or (1, 2, 3), args.witness, args.marker)
     entries = []
-    for j in sorted(set(args.power)):
-        mu = kalman_monodromy(fly_word, j)
-        v = verdict(dga, mu, args.witness, args.marker)
-        moved = mu(args.witness)
+    for j, v in verdicts.items():
         # null when counting the words would expand past EXPANSION_CAP
         try:
-            length = moved.length()
+            length = v.image.length()
         except ExpansionTooLarge:
             length = None
-        poly = poly_to_str(moved) if moved.size_bound() <= AUDIT_CAP else None
+        poly = poly_to_str(v.image) if v.image.size_bound() <= AUDIT_CAP else None
         entries.append(
             {
                 "power": j,
@@ -308,8 +302,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.fn is cmd_verify and args.emit and args.target != "fibonacci":
         parser.error("--emit applies only to `verify fibonacci`")
-    if getattr(args, "power", "missing") is None:
-        args.power = [1, 2, 3]
     run = _Run(["legch"] + argv)
     try:
         status = args.fn(run, args)

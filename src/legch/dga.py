@@ -9,6 +9,7 @@ than raised, so corpora can be triaged in one pass.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -328,12 +329,20 @@ def dga_to_dict(dga: Dga) -> dict:
     }
 
 
-def check_document(data, schema: str) -> None:
-    """Rejects `data` unless it is a JSON object tagged `schema` or untagged."""
+@contextmanager
+def reading(data, schema: str):
+    """The one reader rule: rejects `data` unless it is a JSON object
+    tagged `schema` or untagged, then reports any error raised while the
+    block reads it, the DGA's own checks included, as a malformed
+    `schema` document."""
     if not isinstance(data, dict):
         raise DgaError(f"malformed {schema} document: not a JSON object")
     if data.get("schema", schema) != schema:
         raise DgaError(f"unsupported schema {data.get('schema')!r}")
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError, DgaError) as exc:
+        raise DgaError(f"malformed {schema} document: {exc}") from exc
 
 
 def generator_from_dict(entry: Mapping) -> Generator:
@@ -346,18 +355,13 @@ def generator_from_dict(entry: Mapping) -> Generator:
 
 
 def dga_from_dict(data: Mapping) -> Dga:
-    check_document(data, "dga.v1")
-    try:
+    with reading(data, "dga.v1"):
         gens = tuple(generator_from_dict(entry) for entry in data["generators"])
         diff = {
             name: poly_from_str(text)
             for name, text in data.get("differential", {}).items()
         }
-    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError) as exc:
-        raise DgaError(f"malformed dga.v1 document: {exc}") from exc
-    rotation_zero = data.get("rotation_zero", True)
-    if not isinstance(rotation_zero, bool):
-        raise DgaError(
-            f"malformed dga.v1 document: rotation_zero {rotation_zero!r} is not a boolean"
-        )
-    return Dga(gens, diff, rotation_zero)
+        rotation_zero = data.get("rotation_zero", True)
+        if not isinstance(rotation_zero, bool):
+            raise TypeError(f"rotation_zero {rotation_zero!r} is not a boolean")
+        return Dga(gens, diff, rotation_zero)

@@ -211,10 +211,8 @@ def fly_fixed_check(script: MoveScript, fly: frozenset[str] | set[str]) -> Valid
         report.violations.append(f"fly generators not in initial DGA: {sorted(missing)}")
         return report
     for i, (event, h, _) in enumerate(_steps(script)):
-        for g in sorted(fly & h.moved()):
-            image = h(g)
-            if not (image.is_singleton() and image.the_word() == (g,)):
-                report.violations.append(f"event {i} ({type(event).__name__}) moves {g}")
+        for g in sorted(fly & h.normalized().keys()):
+            report.violations.append(f"event {i} ({type(event).__name__}) moves {g}")
     return report
 
 

@@ -9,7 +9,7 @@ obstruction is one-directional).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .algebra import AlgebraMap, Poly, add
@@ -59,28 +59,23 @@ class Verdict:
     marker: str
     tau_value: int
     certificate_ok: bool
-    conclusion: Literal["nontrivial", "inconclusive"]
+    image: Poly = field(compare=False, repr=False)  # mu(witness)
 
-    def __post_init__(self):
-        expected = (
-            "nontrivial"
-            if self.certificate_ok and self.tau_value % 2 == 1
-            else "inconclusive"
-        )
-        if self.conclusion != expected:
-            raise ObstructionError("verdict conclusion inconsistent with its data")
+    @property
+    def conclusion(self) -> Literal["nontrivial", "inconclusive"]:
+        if self.certificate_ok and self.tau_value % 2 == 1:
+            return "nontrivial"
+        return "inconclusive"
 
 
 def verdict(dga: Dga, mu: AlgebraMap, witness: str, marker: str) -> Verdict:
     """Evaluate tau_marker(mu(witness) + witness) against the certificate."""
-    for name in (witness, marker):
-        if dga.degree(name) != 0:
-            raise NotDegreeZeroMarker(f"{name!r} has degree {dga.degree(name)}")
+    if dga.degree(witness) != 0:
+        raise NotDegreeZeroMarker(f"witness {witness!r} has degree {dga.degree(witness)}")
     ok, _ = tau_parity_certificate(dga, marker)
-    moved = add(mu(witness), Poly.gen(witness))
-    value = moved.tau(marker)
-    conclusion = "nontrivial" if ok and value % 2 == 1 else "inconclusive"
-    return Verdict(witness, marker, value, ok, conclusion)
+    image = mu(witness)
+    value = add(image, Poly.gen(witness)).tau(marker)
+    return Verdict(witness, marker, value, ok, image)
 
 
 def _fly_tangles(summands: Sequence[int]) -> list[Tangle]:

@@ -330,6 +330,10 @@ class TestRename:
         with pytest.raises(algebra.BadGeneratorName):
             P("a + b").rename({"a": "c", "b": "c"})
 
+    def test_collides_with_unmoved_letter(self):
+        with pytest.raises(algebra.BadGeneratorName, match="collides"):
+            P("a b").rename({"a": "b"})
+
 
 class TestHashConsing:
     def test_equal_products_are_one_node(self, monkeypatch):

@@ -5,11 +5,13 @@ import pytest
 from legch import algebra
 from legch.algebra import Poly, add, mul, poly_from_str, poly_to_str
 from legch.builders import (
+    BuilderError,
     ClosureReferenced,
     EmptyList,
     EvenParameter,
     NotDegreeOne,
     PrefixCollision,
+    Tangle,
     TooSmall,
     connect_sum,
     fibonacci_lengths,
@@ -69,6 +71,10 @@ class TestFibonacci:
         assert fibonacci_lengths(3) == (3, 2, 2, 1)
         assert fibonacci_lengths(1) == (1, 1, 1, 0)
         assert fibonacci_lengths(10) == (89, 55, 55, 34)
+
+    def test_too_small(self):
+        with pytest.raises(TooSmall, match="n >= 1 required, got 0"):
+            fibonacci_lengths(0)
 
     def test_matches_path_matrix(self):
         for n in range(1, 13):
@@ -145,6 +151,10 @@ class TestTangle:
         with pytest.raises(ClosureReferenced):
             tangle_from_knot(dga, "a", "")
 
+    def test_dotted_prefix(self):
+        with pytest.raises(BuilderError, match="prefix may not contain '.'"):
+            tangle_from_knot(torus_knot_dga(3), "a2", "k.a")
+
     def test_not_degree_one(self):
         with pytest.raises(NotDegreeOne):
             tangle_from_knot(torus_knot_dga(3), "b1", "")
@@ -197,6 +207,15 @@ class TestConnectSum:
         with pytest.raises(PrefixCollision):
             connect_sum([torus_tangle(3, "k1"), torus_tangle(5, "k1")])
 
+    def test_shared_generator_names(self):
+        t = torus_tangle(3, "k1")
+        with pytest.raises(PrefixCollision, match="generator collision"):
+            connect_sum([t, Tangle(t.internal, t.word, "k2")])
+
+    def test_closure_name_used(self):
+        with pytest.raises(PrefixCollision, match="closure name 'k1.b1' already used"):
+            connect_sum([torus_tangle(3, "k1")], "k1.b1")
+
 
 class TestEvenDeltaClass:
     def test_torus_examples(self):
@@ -212,6 +231,12 @@ class TestEvenDeltaClass:
     def test_connected_sum_closed(self):
         dga = connect_sum([torus_tangle(3, "k1"), torus_tangle(9, "k2")])
         assert is_even_delta_class(dga)[0]
+
+    def test_rotation_not_zero(self):
+        knot = torus_knot_dga(3)
+        ok, report = is_even_delta_class(Dga(knot.generators, knot.differential, False))
+        assert not ok
+        assert report == ["rotation_zero is false"]
 
     def test_negative_degree_rejected(self):
         dga = Dga((Generator("c", -1),), {}, True)

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from legch.algebra import poly_to_str
 from legch.cli import main
+from legch.moves import kalman_monodromy
+from legch.obstruction import family_dga
 
 
 def sha256(raw: bytes) -> str:
@@ -247,18 +250,35 @@ class TestMalformedDocuments:
         assert status == 1 and not out
         assert f"malformed {schema} document: not a JSON object" in err
 
-    def test_bad_generator_in_tangle_word(self, capsys, tmp_path):
+    def word_of_trefoil_tangle(self, capsys, tmp_path, word):
+        """`legch word` on the trefoil's tangle.v1 with its "word" replaced."""
         _, out, _ = run_cli(capsys, "build", "torus", "--n", "3")
         dga_path = tmp_path / "dga.json"
         dga_path.write_text(out)
         _, out, _ = run_cli(capsys, "tangle", str(dga_path))
         doc = json.loads(out)
-        doc["word"] = "a + b!"
+        doc["word"] = word
         path = tmp_path / "tangle.json"
         path.write_text(json.dumps(doc))
-        status, _, err = run_cli(capsys, "word", str(path))
+        return run_cli(capsys, "word", str(path))
+
+    def test_bad_generator_in_tangle_word(self, capsys, tmp_path):
+        status, _, err = self.word_of_trefoil_tangle(capsys, tmp_path, "a + b!")
         assert status == 1
         assert "malformed tangle.v1 document: invalid generator name: 'b!'" in err
+
+    def test_tangle_word_not_a_string(self, capsys, tmp_path):
+        status, out, err = self.word_of_trefoil_tangle(capsys, tmp_path, 5)
+        assert status == 1 and not out
+        assert err.startswith("error: malformed tangle.v1 document: ")
+
+    def test_dga_checks_are_malformed_documents(self, capsys, tmp_path):
+        doc = {"generators": [{"name": "x", "degree": 0}, {"name": "x", "degree": 1}]}
+        path = tmp_path / "dga.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "classify", str(path))
+        assert status == 1 and not out
+        assert err == "error: malformed dga.v1 document: duplicate generator names\n"
 
     @pytest.mark.parametrize("degree", [1.5, "1", True])
     def test_degree_not_integer(self, capsys, tmp_path, degree):
@@ -295,6 +315,24 @@ class TestVerdict:
         assert status == 1
         assert out == ""
         assert err == "error: unknown generator 'zz'\n"
+
+    @pytest.mark.parametrize("role", ["witness", "marker"])
+    def test_wrong_degree_names_its_role(self, capsys, role):
+        status, out, err = run_cli(capsys, "verdict", "--fly", "3", f"--{role}", "a1")
+        assert status == 1
+        assert out == ""
+        assert err == f"error: {role} 'a1' has degree 1\n"
+
+    def test_mu_witness_is_the_image(self, capsys):
+        status, out, _ = run_cli(capsys, "verdict", "--fly", "3")
+        assert status == 0
+        _, fly_word = family_dga([3])
+        for entry in json.loads(out)["entries"]:
+            image = kalman_monodromy(fly_word, entry["power"])("b3")
+            assert entry["mu_witness"] == {
+                "length": image.length(),
+                "poly": poly_to_str(image),
+            }
 
     def test_fly_not_integers_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -99,6 +99,10 @@ class TestCheckDga:
         report = check_dga(torus_knot_dga(3))
         assert any("height" in s for s in report.skipped)
 
+    def test_undeclared_letter_in_differential(self):
+        dga = Dga((Generator("x", 1),), {"x": P("y")}, True)
+        assert check_dga(dga).violations == ["d(x) mentions undeclared generators ['y']"]
+
 
 def wrong_degree_dga(monkeypatch):
     """d(x) symbolic with word degrees in [0, 2] against a target of 3, and
@@ -132,6 +136,10 @@ class TestDegreeMessages:
 
 
 class TestWordDegreeBounds:
+    def test_unknown_letter(self):
+        with pytest.raises(UnknownGenerator, match="^unknown generator 'zz'$"):
+            torus_knot_dga(3).word_degree_bounds(Poly.gen("zz"))
+
     def test_symbolic_with_negative_degree(self, monkeypatch):
         monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
         p = mul(P("x + y"), P("y z + z"))

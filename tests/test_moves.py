@@ -210,6 +210,12 @@ class TestRunScript:
         with pytest.raises(NotAnEndomorphism):
             run_script(script)
 
+    def test_image_of_wrong_degree(self):
+        dga = Dga((Generator("x", 0), Generator("y", 0), Generator("z", 1)), {}, True)
+        script = MoveScript(dga, (RIIIb("x", "y", "z"),), "verified")
+        with pytest.raises(NotAnEndomorphism, match="x -> word z y of degree 1, expected 0"):
+            run_script(script)
+
     def test_formal_mode_allows_shrinking_state(self):
         state = Dga(
             (Generator("x", 1), Generator("y", 0)),
@@ -250,6 +256,11 @@ class TestFlyFixed:
         report = fly_fixed_check(script, {"f"})
         assert not report.ok
         assert "moves f" in report.violations[0]
+
+    def test_fly_generator_missing(self):
+        script = MoveScript(degree_zero_dga("f"), (RIIIa(),), "verified")
+        report = fly_fixed_check(script, {"f", "q"})
+        assert report.violations == ["fly generators not in initial DGA: ['q']"]
 
     def test_non_fly_moves_allowed(self):
         script = MoveScript(
@@ -302,6 +313,10 @@ class TestKalman:
     def test_fly_letters_fixed(self):
         mu = kalman_monodromy(self.w(), 2)
         assert "k.b1" not in mu.moved()
+
+    def test_power_below_one(self):
+        with pytest.raises(MoveError, match="j >= 1 required, got 0"):
+            kalman_monodromy(self.w(), 0)
 
     def test_fly_collision(self):
         with pytest.raises(FlyCollision):

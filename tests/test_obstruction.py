@@ -12,7 +12,6 @@ from legch.moves import kalman_monodromy
 from legch.obstruction import (
     BadSummand,
     NotDegreeZeroMarker,
-    ObstructionError,
     Verdict,
     family_dga,
     family_verdicts,
@@ -78,11 +77,15 @@ class TestVerdict:
         assert not v.certificate_ok
         assert v.conclusion == "inconclusive"
 
-    def test_consistency_enforced(self):
-        with pytest.raises(ObstructionError):
-            Verdict("b3", "b3", 1, True, "inconclusive")
-        with pytest.raises(ObstructionError):
-            Verdict("b3", "b3", 2, True, "nontrivial")
+    def test_conclusion_is_derived(self):
+        # nontrivial iff the certificate holds and tau is odd
+        for ok, tau, want in (
+            (True, 1, "nontrivial"),
+            (True, 2, "inconclusive"),
+            (False, 1, "inconclusive"),
+            (False, 2, "inconclusive"),
+        ):
+            assert Verdict("b3", "b3", tau, ok, Poly.zero()).conclusion == want
 
 
 class TestFamily:
