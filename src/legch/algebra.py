@@ -217,7 +217,7 @@ class Poly:
     @_memo("alphabet")
     def alphabet(self) -> frozenset[str]:
         if self._kind == _KIND_EXPLICIT:
-            return frozenset(c for w in self._words for c in w)
+            return frozenset().union(*self._words)
         return frozenset().union(*(c.alphabet() for c in self._children))
 
     @_memo("mandatory")
@@ -587,43 +587,19 @@ def _certainly_disjoint(a: Poly, b: Poly) -> bool:
 
 
 def _pair_injective(a: Poly, g: Poly) -> bool:
-    """Certificate that (w, v) -> w v is injective on a-words x g-words."""
-    # Disjoint alphabets: the namespace of each letter recovers the split.
-    if a.alphabet().isdisjoint(g.alphabet()):
-        return True
+    """Certificate that (u, v) -> u v is injective on a-words x g-words:
+    the split point of every concatenation can be read off it."""
     # A singleton side fixes the split position.
     if a.is_singleton() or g.is_singleton():
         return True
-    # Right suffix marker: every nonempty g-word ends with a letter delta that
-    # a never uses, carries it exactly once, and no nonempty g-word is a
-    # proper suffix of another.
-    if g.is_explicit and len(g._words) <= 32:
-        nonempty = [w for w in g._words if w]
-        if nonempty:
-            delta = nonempty[0][-1]
-            if (
-                delta not in a.alphabet()
-                and all(w[-1] == delta and w.count(delta) == 1 for w in nonempty)
-                and not any(
-                    len(u) < len(v) and v[len(v) - len(u) :] == u
-                    for u in nonempty
-                    for v in nonempty
-                )
-            ):
-                return True
-    return _seam_marker(a, -1, g) or _seam_marker(g, 0, a)
-
-
-def _seam_marker(p: Poly, side: int, other: Poly) -> bool:
-    """True when every nonempty p-word ends (side -1) or begins (side 0) with
-    a letter delta that it carries once and `other` never uses: then the
-    delta of a concatenation, if it has one, marks the split, and if it has
-    none, the p-word is empty."""
-    ends = p.end_letters(side)
-    if len(ends) != 1:
-        return False
-    (delta,) = ends
-    return delta not in other.alphabet() and p.count_bounds(delta)[1] == 1
+    # Seam: the last letter of u v that may end an a-word ends u, since v
+    # has none (u is empty when there is none); mirrored, the first letter
+    # that may begin a g-word begins v.
+    if a.end_letters(-1).isdisjoint(g.alphabet()) or g.end_letters(0).isdisjoint(a.alphabet()):
+        return True
+    # Far marker: g is 1 + v0 at most, and u v ends with v0's last letter,
+    # which a never uses, exactly when v = v0.
+    return g.size_bound() == 2 and g.has_unit() and g.end_letters(-1).isdisjoint(a.alphabet())
 
 
 def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
@@ -930,6 +906,8 @@ def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:
 
 
 def poly_from_str(text: str) -> Poly:
+    if not isinstance(text, str):
+        raise AlgebraError(f"polynomial must be a string, got {type(text).__name__}")
     text = text.strip()
     if text == "0":
         return _ZERO

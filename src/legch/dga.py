@@ -67,11 +67,17 @@ class Dga:
         index = {g.name: g for g in self.generators}
         if len(index) != len(self.generators):
             raise DgaError("duplicate generator names")
-        for name in self.differential:
+        names = frozenset(index)
+        for name, image in self.differential.items():
             if name not in index:
                 raise UnknownGenerator(f"differential given for undeclared {name!r}")
+            extra = image.alphabet() - names
+            if extra:
+                raise UnknownGenerator(
+                    f"d({name}) mentions undeclared generators {sorted(extra)}"
+                )
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "names", frozenset(index))
+        object.__setattr__(self, "names", names)
 
     def generator(self, name: str) -> Generator:
         try:
@@ -169,25 +175,14 @@ class ValidationReport:
 
 
 def check_dga(dga: Dga) -> ValidationReport:
-    """Exhaustive validity report: declaredness, degree drop, d^2 = 0,
-    and height monotonicity (skipped when heights are absent)."""
+    """Exhaustive validity report: degree drop, d^2 = 0, and height
+    monotonicity (skipped when heights are absent)."""
     report = ValidationReport()
     if not dga.rotation_zero:
         report.violations.append(
             "rotation_zero is false: the grading is not well-defined"
         )
-    for name, image in dga.differential.items():
-        extra = image.alphabet() - dga.names
-        if extra:
-            report.violations.append(
-                f"d({name}) mentions undeclared generators {sorted(extra)}"
-            )
-    # the checks below see only the nonzero images over declared generators
-    images = [
-        (g, image)
-        for g in dga.generators
-        if (image := dga.differential.get(g.name)) and not image.alphabet() - dga.names
-    ]
+    images = [(g, image) for g in dga.generators if (image := dga.differential.get(g.name))]
     _check_degree_drop(dga, images, report)
     _check_d_squared(dga, images, report)
     _check_heights(dga, images, report)
@@ -341,7 +336,9 @@ def reading(data, schema: str):
         raise DgaError(f"unsupported schema {data.get('schema')!r}")
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, AlgebraError, DgaError) as exc:
+    except KeyError as exc:
+        raise DgaError(f"malformed {schema} document: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, AlgebraError, DgaError) as exc:
         raise DgaError(f"malformed {schema} document: {exc}") from exc
 
 

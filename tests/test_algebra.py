@@ -311,6 +311,54 @@ class TestUnitDisjointness:
         assert s.length() == 6 + 2 + 1
 
 
+class TestInjectivityCertificate:
+    """Each clause of the rule that certifies a product u v as injective:
+    the split point can be read off the concatenation."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # singleton: b a fixes the split
+            ("a + a b", "b a"),
+            # left seam whose marker m occurs twice in a word
+            ("m + m a m", "a + a a"),
+            # left seam with two end letters
+            ("a m + b n + m", "a + b a"),
+            # right seam: every nonempty right word begins with n
+            ("a + b a", "n a + n b n"),
+            # far marker: (W + b1 b2 W)(1 + b2 b3) with W = 1 + w + v w; no
+            # left word has b3, the last letter of the one nonempty right word
+            ("1 + w + v w + b1 b2 + b1 b2 w + b1 b2 v w", "1 + b2 b3"),
+        ],
+    )
+    def test_certified(self, left, right, monkeypatch):
+        a, g = P(left), P(right)
+        assert algebra._pair_injective(a, g)
+        joined = [u + v for u in a.expand() for v in g.expand()]
+        assert len(set(joined)) == len(joined)
+        lazy(monkeypatch)
+        product = mul(a, g)
+        assert not product.is_explicit
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert product.length() == len(joined)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # two nonempty right words ending with c, no seam: a (b c) = (a b) c
+            ("a + a b", "1 + c + b c"),
+            ("a + a b", "c + b c"),
+            # the far marker's letter c occurs on the left: (a b c) 1 = a (b c)
+            ("a + a b c", "1 + b c"),
+        ],
+    )
+    def test_not_certified(self, left, right):
+        a, g = P(left), P(right)
+        assert not algebra._pair_injective(a, g)
+        splits = [(u, v) for u in a.expand() for v in g.expand() if u + v == ("a", "b", "c")]
+        assert len(splits) == 2
+
+
 class TestRename:
     def test_explicit(self):
         p = P("1 + b2 + b1 b2")

@@ -201,7 +201,21 @@ class TestScript:
         del doc["events"][1]["y"]
         status, _, err = self.run_doc(capsys, tmp_path, doc)
         assert status == 1
-        assert "malformed script.v1 document" in err
+        assert err == "error: malformed script.v1 document: missing field 'y'\n"
+
+    def test_rii_birth_with_undeclared_letter(self, capsys, tmp_path):
+        doc = script_doc()
+        doc["events"] = [
+            {
+                "type": "RII",
+                "x": {"name": "p", "degree": 1},
+                "y": {"name": "q", "degree": 0},
+                "new_differentials": {"p": "q + w"},
+            }
+        ]
+        status, out, err = self.run_doc(capsys, tmp_path, doc)
+        assert status == 1 and not out
+        assert err == "error: d(p) mentions undeclared generators ['w']\n"
 
     def test_rii_relabel_riiinv(self, capsys, tmp_path):
         doc = script_doc()
@@ -270,7 +284,9 @@ class TestMalformedDocuments:
     def test_tangle_word_not_a_string(self, capsys, tmp_path):
         status, out, err = self.word_of_trefoil_tangle(capsys, tmp_path, 5)
         assert status == 1 and not out
-        assert err.startswith("error: malformed tangle.v1 document: ")
+        assert err == (
+            "error: malformed tangle.v1 document: polynomial must be a string, got int\n"
+        )
 
     def test_dga_checks_are_malformed_documents(self, capsys, tmp_path):
         doc = {"generators": [{"name": "x", "degree": 0}, {"name": "x", "degree": 1}]}
@@ -279,6 +295,17 @@ class TestMalformedDocuments:
         status, out, err = run_cli(capsys, "classify", str(path))
         assert status == 1 and not out
         assert err == "error: malformed dga.v1 document: duplicate generator names\n"
+
+    @pytest.mark.parametrize("argv", [["classify"], ["tangle", "--closure", "x"]])
+    def test_undeclared_letter_in_differential(self, capsys, tmp_path, argv):
+        doc = {"generators": [{"name": "x", "degree": 1}], "differential": {"x": "y"}}
+        path = tmp_path / "dga.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, *argv, str(path))
+        assert status == 1 and not out
+        assert err == (
+            "error: malformed dga.v1 document: d(x) mentions undeclared generators ['y']\n"
+        )
 
     @pytest.mark.parametrize("degree", [1.5, "1", True])
     def test_degree_not_integer(self, capsys, tmp_path, degree):
@@ -356,6 +383,15 @@ class TestVerdict:
         assert entry["tau_value"] == 1566451
         assert entry["conclusion"] == "nontrivial"
         assert entry["mu_witness"] == {"length": None, "poly": None}
+
+    def test_fly_3_7_power_4(self, capsys):
+        # its top slice is certified, so tau never expands; tau is even
+        status, out, err = run_cli(capsys, "verdict", "--fly", "3,7", "--power", "4")
+        assert status == 1 and not err
+        (entry,) = json.loads(out)["entries"]
+        assert entry["tau_value"] == 1386308250
+        assert entry["certificate_ok"] is True
+        assert entry["conclusion"] == "inconclusive"
 
 
 class TestVerify:

@@ -99,10 +99,6 @@ class TestCheckDga:
         report = check_dga(torus_knot_dga(3))
         assert any("height" in s for s in report.skipped)
 
-    def test_undeclared_letter_in_differential(self):
-        dga = Dga((Generator("x", 1),), {"x": P("y")}, True)
-        assert check_dga(dga).violations == ["d(x) mentions undeclared generators ['y']"]
-
 
 def wrong_degree_dga(monkeypatch):
     """d(x) symbolic with word degrees in [0, 2] against a target of 3, and
@@ -240,6 +236,16 @@ class TestInvariants:
     def test_undeclared_differential_rejected(self):
         with pytest.raises(UnknownGenerator):
             Dga((Generator("x", 0),), {"y": Poly.one()}, True)
+
+    def test_undeclared_letter_in_differential_rejected(self, monkeypatch):
+        with pytest.raises(UnknownGenerator, match=r"d\(x\) mentions undeclared generators \['y'\]"):
+            Dga((Generator("x", 1),), {"x": P("y")}, True)
+        # symbolic images too
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        image = mul(P("x + z"), P("x + y"))
+        assert not image.is_explicit
+        with pytest.raises(UnknownGenerator, match=r"\['y', 'z'\]"):
+            Dga((Generator("x", 1),), {"x": image}, True)
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DgaError):

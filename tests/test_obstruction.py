@@ -135,15 +135,28 @@ class TestTauValues:
         assert v.tau_value == 250
         assert v.conclusion == "inconclusive"
 
+    @pytest.mark.parametrize("fly", [(3,), (3, 3)])
+    def test_j4_value_against_expansion(self, fly):
+        _, fly_word = family_dga(fly)
+        value = add(kalman_monodromy(fly_word, 4)("b3"), Poly.gen("b3"))
+        tau = value.tau("b3")
+        counts = [w.count("b3") for w in value.expand()]
+        assert tau == counts.count(max(counts)) == 2 * fly_word.length() ** 3
+
     @pytest.mark.parametrize("fly", [(19,), (21,), (45,), (21, 45)])
     def test_large_flies_without_expansion(self, fly, monkeypatch):
         dga, fly_word = family_dga(fly)
-        mus = {j: kalman_monodromy(fly_word, j) for j in (1, 2, 3)}
+        mus = {j: kalman_monodromy(fly_word, j) for j in (1, 2, 3, 4)}
         # l(W) = prod (F(n)^2 + F(n-1)), far past any expansion
         _, f, _, f_prev = zip(*map(fibonacci_lengths, fly))
         l_w = math.prod(a * a + b for a, b in zip(f, f_prev))
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
         assert fly_word.length() == l_w
-        for j, tau in ((1, 1), (2, 1), (3, 2 * l_w**2 + 1)):
+        for j, tau, ok, conclusion in (
+            (1, 1, True, "nontrivial"),
+            (2, 1, True, "nontrivial"),
+            (3, 2 * l_w**2 + 1, True, "nontrivial"),
+            (4, 2 * l_w**3, True, "inconclusive"),
+        ):
             v = verdict(dga, mus[j], "b3", "b3")
-            assert (v.tau_value, v.certificate_ok, v.conclusion) == (tau, True, "nontrivial")
+            assert (v.tau_value, v.certificate_ok, v.conclusion) == (tau, ok, conclusion)

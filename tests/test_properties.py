@@ -132,9 +132,14 @@ x_m = st.tuples(st.just(mul), leaves(ab), leaves(ab.map(lambda w: w + ("m",))))
 n_y = st.tuples(st.just(mul), leaves(ab.map(lambda w: ("n",) + w)), leaves(ab))
 ends_m = st.one_of(x_m, st.tuples(st.just(add), x_m, x_m))
 begins_n = st.one_of(n_y, st.tuples(st.just(add), n_y, n_y))
+# the unit and one word ending with m: a far marker unless m is on the left
+one_m = ab.map(lambda w: [(), w + ("m",)])
 sides = st.one_of(free, st.tuples(st.sampled_from((add, mul)), free, free), ends_m, begins_n)
 seam_pairs = st.one_of(
-    st.tuples(sides, sides), st.tuples(ends_m, sides), st.tuples(sides, begins_n)
+    st.tuples(sides, sides),
+    st.tuples(ends_m, sides),
+    st.tuples(sides, begins_n),
+    st.tuples(sides, one_m),
 )
 
 
