@@ -54,6 +54,13 @@ class Generator:
             raise DgaError(f"height of {self.name} must be positive")
 
 
+def _undeclared(p: Poly, names: frozenset[str]) -> list[str]:
+    """The letters outside `names` that occur in some word of p, sorted.  A
+    symbolic alphabet is a superset: a letter that cancelled out of every
+    word is not counted."""
+    return sorted(c for c in p.alphabet() - names if p.max_count(c) > 0)
+
+
 @dataclass(frozen=True)
 class Dga:
     generators: tuple[Generator, ...]
@@ -71,11 +78,9 @@ class Dga:
         for name, image in self.differential.items():
             if name not in index:
                 raise UnknownGenerator(f"differential given for undeclared {name!r}")
-            extra = image.alphabet() - names
+            extra = _undeclared(image, names)
             if extra:
-                raise UnknownGenerator(
-                    f"d({name}) mentions undeclared generators {sorted(extra)}"
-                )
+                raise UnknownGenerator(f"d({name}) mentions undeclared generators {extra}")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "names", names)
 
@@ -120,11 +125,9 @@ class Dga:
     def word_degree_bounds(self, p: Poly) -> tuple[int, int]:
         """Bounds on the total degree of words of p (exact on explicit sets)."""
         index = self._index
-        # A symbolic alphabet is a superset: a letter that cancelled out of
-        # every word contributes nothing.
-        for c in p.alphabet():
-            if c not in index and p.max_count(c) > 0:
-                raise UnknownGenerator(f"unknown generator {c!r}")
+        extra = _undeclared(p, self.names)
+        if extra:
+            raise UnknownGenerator(f"unknown generator {extra[0]!r}")
         if p.is_explicit:
             ws = p.words()
             if not ws:

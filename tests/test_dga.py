@@ -246,6 +246,10 @@ class TestInvariants:
         assert not image.is_explicit
         with pytest.raises(UnknownGenerator, match=r"\['y', 'z'\]"):
             Dga((Generator("x", 1),), {"x": image}, True)
+        # a letter that cancelled out of every word is not mentioned
+        cancelled = add(P("x + y"), P("y"))
+        assert "y" in cancelled.alphabet()
+        assert Dga((Generator("x", 1),), {"x": cancelled}, True).d("x") == P("x")
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DgaError):
