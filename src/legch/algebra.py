@@ -172,8 +172,12 @@ class Poly:
     @staticmethod
     def from_words(words: Iterable[Iterable[str]]) -> "Poly":
         acc: set[Word] = set()
+        known = _CHECKED.get
         for w in words:
-            word = tuple(map(check_name, w))
+            letters = tuple(w)  # read once: w may be an iterator
+            word = tuple(map(known, letters))
+            if None in word:  # a letter not seen before
+                word = tuple(map(check_name, letters))
             if word in acc:
                 acc.discard(word)
             else:
@@ -327,6 +331,10 @@ class Poly:
             for words in parts:
                 acc ^= words
             return frozenset(acc)
+        if self._injective:  # no two pairs give the same word
+            a, b = parts
+            # copied from a set, the frozenset's table fits its size
+            return frozenset({u + v for u in a for v in b})
         return _concat(*parts)
 
     def words(self) -> frozenset[Word]:
@@ -334,8 +342,10 @@ class Poly:
         return self.expand()
 
     def canonical_words(self) -> list[Word]:
-        """Words in length-then-lexicographic order."""
-        ws = sorted(self.expand())
+        """Words in length-then-lexicographic order.  Within one length,
+        joined words sort as their letter tuples: the space sorts below
+        every character a generator name may hold."""
+        ws = sorted(self.expand(), key=" ".join)
         ws.sort(key=len)  # stable: lexicographic within each length
         return ws
 
@@ -820,7 +830,10 @@ def mul(p: Poly, q: Poly) -> Poly:
         return q
     if q is _ONE:
         return p
-    if p.size_bound() * q.size_bound() <= LAZY_THRESHOLD:
+    if p._kind == q._kind == _KIND_EXPLICIT:
+        if len(p._words) * len(q._words) <= LAZY_THRESHOLD:
+            return Poly._explicit(_concat(p._words, q._words))
+    elif p.size_bound() * q.size_bound() <= LAZY_THRESHOLD:
         return Poly._explicit(_concat(p.expand(), q.expand()))
     return _node(_KIND_PRODUCT, (p, q))
 
@@ -853,20 +866,25 @@ class AlgebraMap:
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:
+        images = {c: self(c) for c in p.alphabet()}
         acc = _ZERO
         for w in p._words:
             img = _ONE
             for c in w:
-                img = mul(img, self(c))
+                img = mul(img, images[c])
             acc = add(acc, img)
         return acc
 
     def compose(self, inner: "AlgebraMap") -> "AlgebraMap":
-        """self after inner: g -> self(inner(g))."""
-        out: dict[str, Poly] = {}
-        for g in set(self.assignments) | set(inner.assignments):
-            out[g] = self.apply(inner(g))
-        return AlgebraMap(out)
+        """self after inner: g -> self(inner(g)).  A generator inner fixes
+        goes to self(g); the keys of both maps are checked already."""
+        if not self.assignments:
+            return inner
+        out = AlgebraMap.__new__(AlgebraMap)
+        out.assignments = dict(self.assignments)
+        for g, img in inner.assignments.items():
+            out.assignments[g] = self.apply(img)
+        return out
 
     def normalized(self) -> dict[str, Poly]:
         return {
@@ -937,7 +955,4 @@ def word_to_str(w: Word) -> str:
 
 def poly_to_str(p: Poly) -> str:
     """Canonical textual form: words ordered by length then lexicographically."""
-    ws = p.canonical_words()
-    if not ws:
-        return "0"
-    return " + ".join(word_to_str(w) for w in ws)
+    return " + ".join(map(word_to_str, p.canonical_words())) or "0"

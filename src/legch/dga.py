@@ -23,6 +23,7 @@ from .algebra import (
     check_name,
     poly_from_str,
     poly_to_str,
+    word_to_str,
 )
 
 
@@ -219,7 +220,7 @@ def _check_degree_drop(dga: Dga, images, report: ValidationReport) -> None:
             )
         for w, degree in wrong or ():
             report.violations.append(
-                f"d({g.name}): word {' '.join(w) or '1'} has degree "
+                f"d({g.name}): word {word_to_str(w)} has degree "
                 f"{degree}, expected {target}"
             )
 
@@ -265,7 +266,7 @@ def _check_heights(dga: Dga, images, report: ValidationReport) -> None:
             total = sum((dga.generator(c).height for c in w), Fraction(0))
             if not g.height > total:
                 report.violations.append(
-                    f"d({g.name}): word {' '.join(w) or '1'} has total height "
+                    f"d({g.name}): word {word_to_str(w)} has total height "
                     f"{total}, not below {g.height}"
                 )
 
@@ -301,7 +302,7 @@ def apply_endomorphism(dga: Dga, m: AlgebraMap) -> ValidationReport:
             )
         for w, degree in wrong or ():
             report.violations.append(
-                f"{name} -> word {' '.join(w) or '1'} of degree "
+                f"{name} -> word {word_to_str(w)} of degree "
                 f"{degree}, expected {target}"
             )
     return report

@@ -115,6 +115,8 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
             {event.x: add(Poly.gen(event.x), mul(Poly.gen(event.z), Poly.gen(event.y)))}
         )
         diff = {name: sub.apply(p) for name, p in state.differential.items()}
+        if all(diff[name] is p for name, p in state.differential.items()):
+            return sub, state  # no differential mentions x
         return sub, Dga(state.generators, diff, state.rotation_zero)
 
     if isinstance(event, Relabel):

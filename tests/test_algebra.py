@@ -103,6 +103,10 @@ class TestMaps:
         m2 = compose(m, m)
         assert m2("b3") == P("w + b1 b2 w")
 
+    def test_compose_moving_nothing_is_inner(self):
+        m = AlgebraMap({"x": P("x + z y")})
+        assert compose(AlgebraMap.identity(), m) is m
+
     def test_homomorphism(self):
         m = AlgebraMap({"x": P("x + z y"), "y": P("1")})
         p, q = P("x y + z"), P("y x + 1")
@@ -150,6 +154,27 @@ class TestSerialization:
         with pytest.raises(algebra.AlgebraError, match="'0' is only valid as the whole polynomial"):
             P("a + 0")
         assert P("a + a") is Poly.zero()
+
+    def test_from_words_reads_each_word_once(self):
+        assert Poly.from_words([iter(["fresh_q", "b"])]) == Poly.word("fresh_q", "b")
+
+    def test_invalid_letter_after_known_one(self):
+        P("b")
+        with pytest.raises(algebra.BadGeneratorName, match="invalid generator name: '1x'"):
+            Poly.from_words([["b", "1x"]])
+
+    def test_repeated_word_cancels_around_unit(self):
+        assert P("x + 1 + x") == Poly.one()
+
+
+class TestProducts:
+    def test_explicit_factors_up_to_threshold(self):
+        eight = Poly.from_words([(f"a{i}",) for i in range(8)])
+        nine = Poly.from_words([(f"b{i}",) for i in range(9)])
+        assert mul(eight, eight).is_explicit
+        product = mul(eight, nine)
+        assert not product.is_explicit
+        assert product.length() == 72
 
 
 class CountingRegex:

@@ -109,6 +109,21 @@ class TestHolonomy:
         _, post = holonomy(RIIIb("x", "y", "z"), state)
         assert post.d("c") == P("x z + z y z")
 
+    def test_riii_b_keeps_state_without_x(self):
+        state = Dga(
+            (
+                Generator("c", 1),
+                Generator("x", 0),
+                Generator("y", 0),
+                Generator("z", 0),
+            ),
+            {"c": P("y z")},
+            True,
+        )
+        _, post = holonomy(RIIIb("x", "y", "z"), state)
+        assert post == state
+        assert post is state
+
     def test_riii_a(self):
         state = degree_zero_dga("p", "q")
         h, post = holonomy(RIIIa(), state)

@@ -73,7 +73,9 @@ class TestMaps:
 
     @given(small_maps, small_maps, polys)
     def test_compose_is_application(self, f, g, p):
-        assert compose(f, g).apply(p) == f.apply(g.apply(p))
+        fg = compose(f, g)
+        assert fg.apply(p) == f.apply(g.apply(p))
+        assert fg.assignments.keys() == f.assignments.keys() | g.assignments.keys()
 
     @settings(deadline=None)
     @given(tiny_maps, tiny_maps, tiny_maps, tiny_polys)
@@ -160,6 +162,7 @@ class TestInjectivityCertificate:
                 words_a, words_g = a.expand(), g.expand()
                 joined = {u + v for u in words_a for v in words_g}
                 assert len(joined) == len(words_a) * len(words_g)
+                assert mul(a, g).expand() == algebra._concat(words_a, words_g)
 
 
 def cancel(p, q):
@@ -259,13 +262,20 @@ class TestLengthAndSlices:
             assert p.tau(g) == p.length()
 
 
+# names that are prefixes of one another, with each kind of character a
+# name may hold after its first
+PREFIX_NAMES = ("b", "b1", "b12", "b1.c", "b_", "bé")
+prefix_words = st.lists(st.sampled_from(PREFIX_NAMES), max_size=3).map(tuple)
+prefix_polys = st.lists(prefix_words, max_size=6).map(lambda ws: Poly.from_words(ws))
+
+
 class TestSerialization:
-    @given(polys)
+    @given(st.one_of(polys, prefix_polys))
     def test_round_trip(self, p):
         assert poly_from_str(poly_to_str(p)) == p
         assert p.canonical_words() == sorted(p.expand(), key=lambda w: (len(w), w))
 
-    @given(polys)
+    @given(st.one_of(polys, prefix_polys))
     def test_canonical(self, p):
         assert poly_to_str(poly_from_str(poly_to_str(p))) == poly_to_str(p)
 
