@@ -110,16 +110,15 @@ def _memo(name: str):
 
 
 class Poly:
-    """An element of the free Z2 algebra.  Immutable; only its certificates
-    may be switched on later, when a caller asserts them."""
+    """An element of the free Z2 algebra.  Immutable; only its certificate
+    may be switched on later, when a caller asserts it."""
 
     __slots__ = (
         "_kind",
         "_words",
         "_children",
         "_token",
-        "_injective",
-        "_disjoint",
+        "_free",
         "_cache",
         "__weakref__",
     )
@@ -134,10 +133,9 @@ class Poly:
         # Interning key of the node as a child: the word set when explicit,
         # a serial number when composite (see _node).
         self._token = self._words
-        # Certificates: a product's concatenation map is injective on its
-        # factors' words; a sum's terms are pairwise word-disjoint.
-        self._injective = False
-        self._disjoint = False
+        # Certificate that no word cancels here: a product's concatenation
+        # map is injective on its factors' words, a sum's terms are disjoint.
+        self._free = False
         self._cache: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -200,7 +198,7 @@ class Poly:
             return bool(self._words)
         if self._kind == _KIND_PRODUCT:
             return all(self._children)  # the free algebra has no zero divisors
-        if self._disjoint or _pairwise_disjoint(self._children):
+        if self._free or _pairwise_disjoint(self._children):
             # no word cancels across disjoint terms
             return any(self._children)
         return self.length() != 0
@@ -331,7 +329,7 @@ class Poly:
             for words in parts:
                 acc ^= words
             return frozenset(acc)
-        if self._injective:  # no two pairs give the same word
+        if self._free:  # no two pairs give the same word
             a, b = parts
             # copied from a set, the frozenset's table fits its size
             return frozenset({u + v for u in a for v in b})
@@ -360,12 +358,11 @@ class Poly:
     @_memo("length")
     def _length(self) -> int:
         terms = self._children
-        if self._kind == _KIND_PRODUCT:
-            if self._injective:
-                return math.prod(f.length() for f in terms)
+        product = self._kind == _KIND_PRODUCT
+        if self._free or not product and _pairwise_disjoint(terms):
+            return (math.prod if product else sum)(t.length() for t in terms)
+        if product:
             return len(self.expand())
-        if self._disjoint or _pairwise_disjoint(terms):
-            return sum(t.length() for t in terms)
         # Singleton terms can be resolved by exact membership tests.
         singles = [t for t in terms if t.is_singleton()]
         bigs = [t for t in terms if not t.is_singleton()]
@@ -394,33 +391,39 @@ class Poly:
         return (0, 0)
 
     def slice(self, g: str, k: int) -> "Poly":
-        """The sub-polynomial of words with exactly k occurrences of g.  It
-        keeps certificates: subsets of disjoint sets are disjoint, and an
-        injective product restricted to A_i x B_(k-i), domains disjoint for
-        different i, stays injective with disjoint images."""
-        done: dict = {}
+        """The sub-polynomial of words with exactly k occurrences of g."""
+        if g not in self.alphabet():
+            return self if k == 0 else _ZERO
+        if self._kind == _KIND_EXPLICIT:
+            return Poly._explicit(frozenset(w for w in self._words if w.count(g) == k))
+        lo, hi = self.count_bounds(g)
+        return self._slices(g)[k - lo] if lo <= k <= hi else _ZERO
 
-        def walk(p: Poly, k: int) -> Poly:
-            if g not in p.alphabet():
-                return p if k == 0 else _ZERO
-            if p._kind == _KIND_EXPLICIT:
-                return Poly._explicit(frozenset(w for w in p._words if w.count(g) == k))
-            key = (p._token, k)
-            if key not in done:
-                if p._kind == _KIND_SUM:
-                    parts = [walk(t, k) for t in p._children]
-                else:
-                    a, b = p._children
-                    (alo, ahi), (blo, bhi) = a.count_bounds(g), b.count_bounds(g)
-                    parts = [
-                        _make_product([walk(a, i), walk(b, k - i)], injective=p._injective)
-                        for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
-                    ]
-                certified = p._disjoint or p._injective
-                done[key] = unsafe_disjoint_sum(parts) if certified else _make_sum(parts)
-            return done[key]
-
-        return walk(self, k)
+    @_memo("slices")
+    def _slices(self, g: str) -> tuple["Poly", ...]:
+        """The slices for k in count_bounds(g), built from the children's.
+        They keep the certificate: subsets of disjoint sets are disjoint,
+        and an injective product restricted to A_i x B_(k-i), domains
+        disjoint for different i, stays injective with disjoint images."""
+        if g not in self.alphabet():
+            return ()  # slice answers a g-free node inline
+        lo, hi = self.count_bounds(g)
+        join = unsafe_disjoint_sum if self._free else _make_sum
+        if self._kind == _KIND_SUM:
+            return tuple(
+                join([t.slice(g, k) for t in self._children]) for k in range(lo, hi + 1)
+            )
+        a, b = self._children
+        (alo, ahi), (blo, bhi) = a.count_bounds(g), b.count_bounds(g)
+        return tuple(
+            join(
+                [
+                    _make_product([a.slice(g, i), b.slice(g, k - i)], injective=self._free)
+                    for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
+                ]
+            )
+            for k in range(lo, hi + 1)
+        )
 
     # -- algebra -----------------------------------------------------------
 
@@ -454,8 +457,7 @@ class Poly:
 
         def node(p: Poly, children: list[Poly]) -> Poly:
             q = _node(p._kind, tuple(children))
-            q._injective |= p._injective
-            q._disjoint |= p._disjoint
+            q._free |= p._free
             return q
 
         return _rebuild(self, relevant, leaf, node)
@@ -547,28 +549,31 @@ def _node(kind: str, children: tuple[Poly, ...]) -> Poly:
         node._children = children
         node._token = next(_SERIALS)
         if kind == _KIND_PRODUCT:
-            node._injective = _pair_injective(*children)
+            node._free = _pair_injective(*children)
         _NODES[key] = node
     return node
 
 
 def _rebuild(p: Poly, letters, leaf, node) -> Poly:
-    """Map the DAG under p bottom-up, visiting each shared node once.
-    Subterms that use none of `letters` are kept; explicit ones go through
-    leaf(q), composite ones through node(q, mapped children)."""
+    """Map the DAG under p bottom-up from an explicit stack, each shared node
+    once and after its children.  Subterms that use none of `letters` are
+    kept; explicit ones go through leaf(q), composite ones through node(q,
+    mapped children)."""
     done: dict = {}
-
-    def walk(q: Poly) -> Poly:
-        if q.alphabet().isdisjoint(letters):
-            return q
-        if q._kind == _KIND_EXPLICIT:
-            return leaf(q)
-        out = done.get(q._token)
-        if out is None:
-            out = done[q._token] = node(q, [walk(c) for c in q._children])
-        return out
-
-    return walk(p)
+    stack = [(p, False)]
+    while stack:
+        q, ready = stack.pop()
+        if ready:
+            done[q._token] = node(q, [done[c._token] for c in q._children])
+        elif q._token not in done:
+            if q.alphabet().isdisjoint(letters):
+                done[q._token] = q
+            elif q._kind == _KIND_EXPLICIT:
+                done[q._token] = leaf(q)
+            else:
+                stack.append((q, True))
+                stack.extend((c, False) for c in q._children)
+    return done[p._token]
 
 
 # -- cancellation certificates ------------------------------------------------
@@ -581,6 +586,10 @@ def _pairwise_disjoint(polys) -> bool:
 
 def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     """Certificate that the word sets of a and b share no word."""
+    # the unit's one word is the empty word: exact, and no statistic of the
+    # other side beyond has_unit is filled
+    if a is _ONE or b is _ONE:
+        return not (a.has_unit() and b.has_unit())
     alo, ahi = a.count_bounds(None)
     blo, bhi = b.count_bounds(None)
     if ahi < blo or bhi < alo:
@@ -588,9 +597,6 @@ def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     # a letter every word of one side carries, absent from the other side
     if not a.mandatory() <= b.alphabet() or not b.mandatory() <= a.alphabet():
         return True
-    # the unit's one word is the empty word
-    if a is _ONE or b is _ONE:
-        return not (a.has_unit() and b.has_unit())
     if a.is_explicit and b.is_explicit:
         return a._words.isdisjoint(b._words)
     return False
@@ -627,7 +633,7 @@ def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
             continue
         node = _node(_KIND_PRODUCT, (node, f))
         if injective:
-            node._injective = True
+            node._free = True
     return node
 
 
@@ -636,7 +642,7 @@ def _make_sum(terms: Iterable[Poly]) -> Poly:
     symbolic: dict = {}
     for t in terms:
         # a certified-disjoint sum stays one term, keeping its certificate
-        subs = t._children if t._kind == _KIND_SUM and not t._disjoint else (t,)
+        subs = t._children if t._kind == _KIND_SUM and not t._free else (t,)
         for s in subs:
             if s._kind == _KIND_EXPLICIT and len(s._words) + len(explicit) <= LAZY_THRESHOLD:
                 explicit ^= s._words
@@ -676,7 +682,7 @@ def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
     if len(terms) == 1:
         return terms[0]
     node = _node(_KIND_SUM, tuple(terms))
-    node._disjoint = True
+    node._free = True
     return node
 
 

@@ -74,21 +74,12 @@ def path_matrix(n: int) -> PathMatrix:
     if n < 1:
         raise TooSmall(f"path matrix needs n >= 1, got {n}")
     one, zero = Poly.one(), Poly.zero()
-    m = ((one, zero), (zero, one))
+    rows = ((one, zero), (zero, one))
     for i in range(1, n + 1):
         b = Poly.gen(f"b{i}")
-        e = ((b, one), (one, zero))
-        m = (
-            (
-                add(mul(m[0][0], e[0][0]), mul(m[0][1], e[1][0])),
-                add(mul(m[0][0], e[0][1]), mul(m[0][1], e[1][1])),
-            ),
-            (
-                add(mul(m[1][0], e[0][0]), mul(m[1][1], e[1][0])),
-                add(mul(m[1][0], e[0][1]), mul(m[1][1], e[1][1])),
-            ),
-        )
-    return PathMatrix(m)
+        # the row (x, y) times [[b_i, 1], [1, 0]] is (x b_i + y, x)
+        rows = tuple((add(mul(x, b), y), x) for x, y in rows)
+    return PathMatrix(rows)
 
 
 def fibonacci_lengths(n: int) -> tuple[int, int, int, int]:
@@ -152,7 +143,8 @@ def tangle_from_knot(dga: Dga, closure: str, prefix: str) -> Tangle:
             f"closure crossing {closure!r} has degree {dga.degree(closure)}"
         )
     for name, image in dga.differential.items():
-        if name != closure and closure in image.alphabet():
+        # a symbolic alphabet is a superset: ask whether a word carries it
+        if name != closure and closure in image.alphabet() and image.max_count(closure):
             raise ClosureReferenced(f"d({name}) mentions the closure {closure!r}")
     if prefix:
         check_name(prefix)
@@ -162,7 +154,7 @@ def tangle_from_knot(dga: Dga, closure: str, prefix: str) -> Tangle:
     closure = _prefixed(prefix, closure)
     internal = Dga(
         tuple(g for g in renamed.generators if g.name != closure),
-        {name: p for name, p in renamed.differential.items() if name != closure and p},
+        {name: p for name, p in renamed.differential.items() if name != closure},
         dga.rotation_zero,
     )
     return Tangle(internal, add(renamed.d(closure), Poly.one()), prefix)

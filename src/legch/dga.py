@@ -82,6 +82,8 @@ class Dga:
             extra = _undeclared(image, names)
             if extra:
                 raise UnknownGenerator(f"d({name}) mentions undeclared generators {extra}")
+        # the one place zero images are dropped: d(g) = 0 is stored by absence
+        object.__setattr__(self, "differential", {n: p for n, p in self.differential.items() if p})
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "names", names)
 
@@ -186,7 +188,7 @@ def check_dga(dga: Dga) -> ValidationReport:
         report.violations.append(
             "rotation_zero is false: the grading is not well-defined"
         )
-    images = [(g, image) for g in dga.generators if (image := dga.differential.get(g.name))]
+    images = [(g, dga.differential[g.name]) for g in dga.generators if g.name in dga.differential]
     _check_degree_drop(dga, images, report)
     _check_d_squared(dga, images, report)
     _check_heights(dga, images, report)
@@ -228,7 +230,7 @@ def _check_degree_drop(dga: Dga, images, report: ValidationReport) -> None:
 def _check_d_squared(dga: Dga, images, report: ValidationReport) -> None:
     for g, image in images:
         # letters whose own differential vanishes contribute nothing
-        if not any(dga.differential.get(c) for c in image.alphabet()):
+        if image.alphabet().isdisjoint(dga.differential):
             continue
         try:
             square = _leibniz(dga, image)
@@ -244,7 +246,7 @@ def _leibniz(dga: Dga, p: Poly) -> Poly:
     for w in p.words():
         for i, c in enumerate(w):
             dc = dga.differential.get(c)
-            if not dc:
+            if dc is None:
                 continue
             term = Poly.word(*w[:i]) * dc * Poly.word(*w[i + 1 :])
             acc = add(acc, term)
@@ -253,7 +255,7 @@ def _leibniz(dga: Dga, p: Poly) -> Poly:
 
 def _check_heights(dga: Dga, images, report: ValidationReport) -> None:
     if not dga.has_heights():
-        if any(dga.differential.values()):
+        if dga.differential:
             report.skipped.append("height monotonicity: heights absent")
         return
     for g, image in images:
@@ -283,7 +285,7 @@ def shrink(dga: Dga, u: Fraction) -> Dga:
     gens = tuple(
         Generator(g.name, g.degree, g.height * factor) for g in dga.generators
     )
-    return Dga(gens, dict(dga.differential), dga.rotation_zero)
+    return Dga(gens, dga.differential, dga.rotation_zero)
 
 
 def apply_endomorphism(dga: Dga, m: AlgebraMap) -> ValidationReport:
@@ -322,7 +324,7 @@ def dga_to_dict(dga: Dga) -> dict:
         "schema": "dga.v1",
         "generators": gens,
         "differential": {
-            name: poly_to_str(p) for name, p in sorted(dga.differential.items()) if p
+            name: poly_to_str(p) for name, p in sorted(dga.differential.items())
         },
         "rotation_zero": dga.rotation_zero,
     }

@@ -142,7 +142,6 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
             for name, p in state.differential.items()
             if name not in (event.x, event.y)
         }
-        diff = {name: p for name, p in diff.items() if p}
         return sub, Dga(gens, diff, state.rotation_zero)
 
     if isinstance(event, RII):
@@ -155,8 +154,7 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
         new_state = Dga(gens, diff, state.rotation_zero)
         if verified:
             for g in state.generators:
-                image = new_state.d(g.name)
-                if not image:
+                if g.name not in new_state.differential:
                     continue
                 if (
                     g.height is not None

@@ -1,9 +1,13 @@
 """Unit tests for path matrices, torus knots, tangles, and connected sums."""
 
+import contextlib
+import inspect
+import sys
+
 import pytest
 
 from legch import algebra
-from legch.algebra import Poly, add, mul, poly_from_str, poly_to_str
+from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str, poly_to_str
 from legch.builders import (
     BuilderError,
     ClosureReferenced,
@@ -24,10 +28,26 @@ from legch.builders import (
     torus_tangle,
 )
 from legch.dga import Dga, Generator, check_dga
+from legch.moves import RIIInv, holonomy
 
 
 def P(text):
     return poly_from_str(text)
+
+
+def F(n):
+    return fibonacci_lengths(n)[1]
+
+
+@contextlib.contextmanager
+def frames_to_spare(n):
+    """A recursion limit n frames above the caller's depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestPathMatrix:
@@ -53,13 +73,23 @@ class TestPathMatrix:
         # among all of its mandatory letters
         assert path_matrix(61).lengths() == fibonacci_lengths(61)
 
-    @pytest.mark.parametrize("n", [21, 61, 161])
+    @pytest.mark.parametrize("n", [21, 61, 161, 261])
     def test_tau_past_expansion(self, n, monkeypatch):
         # b1 occurs at most once in a word of B11, and F(n) words carry it
         entry = path_matrix(n)[1, 1]
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
         assert entry.max_count("b1") == 1
-        assert entry.tau("b1") == fibonacci_lengths(n)[1]
+        assert entry.tau("b1") == F(n)
+
+    def test_walks_do_not_recurse_per_level(self):
+        # B11 is about 2n nodes deep; slices, renaming and substitution
+        # walk it from explicit stacks
+        with frames_to_spare(100):
+            entry = path_matrix(61)[1, 1]
+            assert entry.tau("b1") == F(61)
+            assert entry.rename({"b1": "c1"}).tau("c1") == F(61)
+            assert AlgebraMap({"b1": P("c1 + c2")}).apply(entry).length() == F(62) + F(61)
+            assert torus_tangle(61, "k").word.length() == F(61) ** 2 + F(60)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -136,6 +166,9 @@ class TestTangle:
         for n in (3, 7, 9):
             assert torus_tangle(n, "").word.length() % 2 == 1
 
+    def test_word_length_past_recursion_depth(self):
+        assert torus_tangle(261, "k").word.length() == F(261) ** 2 + F(260)
+
     @pytest.mark.parametrize("n", [21, 41, 61])
     def test_word_length_keeps_certificates(self, n):
         # renaming and adding the unit keep d(a2)'s certificates
@@ -150,6 +183,20 @@ class TestTangle:
         )
         with pytest.raises(ClosureReferenced):
             tangle_from_knot(dga, "a", "")
+
+    def test_closure_cancelled_out_of_every_word(self):
+        # RIIInv sends y to c + sum u_i v_i, so d(a) = y + c becomes a
+        # symbolic sum whose alphabet keeps c although no word carries it
+        pairs = range(66)
+        gens = (Generator("x", 1), Generator("y", 0), Generator("c", 1), Generator("a", 1))
+        gens += tuple(Generator(f"{s}{i}", 0) for s in "uv" for i in pairs)
+        dx = poly_from_str("y + c + " + " + ".join(f"u{i} v{i}" for i in pairs))
+        _, post = holonomy(RIIInv("x", "y"), Dga(gens, {"x": dx, "a": P("y + c")}))
+        da = post.d("a")
+        assert "c" in da.alphabet() and da.max_count("c") == 0
+        t = tangle_from_knot(post, "c", "")
+        assert t.word == Poly.one()
+        assert t.internal.d("a") == add(dx, P("y + c"))
 
     def test_dotted_prefix(self):
         with pytest.raises(BuilderError, match="prefix may not contain '.'"):

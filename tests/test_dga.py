@@ -201,6 +201,13 @@ class TestJson:
         dga = torus_knot_dga(3)
         assert dga_from_dict(dga_to_dict(dga)) == dga
 
+    def test_zero_image_round_trip(self):
+        # a zero image is stored as no image, so writing drops nothing
+        doc = {"generators": [{"name": "x", "degree": 1}], "differential": {"x": "0"}}
+        dga = dga_from_dict(doc)
+        assert dga.differential == {}
+        assert dga_from_dict(dga_to_dict(dga)) == dga
+
     def test_heights_serialized_as_strings(self):
         dga = Dga((Generator("x", 1, Fraction(1, 3)),), {}, True)
         doc = dga_to_dict(dga)
@@ -250,6 +257,13 @@ class TestInvariants:
         cancelled = add(P("x + y"), P("y"))
         assert "y" in cancelled.alphabet()
         assert Dga((Generator("x", 1),), {"x": cancelled}, True).d("x") == P("x")
+
+    def test_zero_valued_images_dropped(self, monkeypatch):
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        zero = add(mul(P("x"), P("x + y")), add(P("x x"), P("x y")))
+        assert not zero.is_explicit and not zero
+        gens = (Generator("x", 0), Generator("y", 0))
+        assert Dga(gens, {"x": zero, "y": P("x")}).differential == {"y": P("x")}
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DgaError):

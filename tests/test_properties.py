@@ -213,9 +213,9 @@ def assert_certificates_hold(p):
     while stack:
         q = stack.pop()
         parts = [c.expand() for c in q._children]
-        if q._disjoint:
+        if q._free and q._kind == algebra._KIND_SUM:
             assert sum(map(len, parts)) == len(frozenset().union(*parts))
-        if q._injective:
+        if q._free and q._kind == algebra._KIND_PRODUCT:
             a, b = parts
             assert len({u + v for u in a for v in b}) == len(a) * len(b)
         stack.extend(q._children)
