@@ -201,7 +201,10 @@ class Poly:
         if self._free or _pairwise_disjoint(self._children):
             # no word cancels across disjoint terms
             return any(self._children)
-        return self.length() != 0
+        try:
+            return self.length() != 0
+        except ExpansionTooLarge:
+            return self != _ZERO  # exact, and never expands
 
     def is_singleton(self) -> bool:
         """True when the value is certainly a single word: no composite
@@ -244,19 +247,6 @@ class Poly:
         sizes = [c.size_bound() for c in self._children]
         return math.prod(sizes) if self._kind == _KIND_PRODUCT else sum(sizes)
 
-    def has_unit(self) -> bool:
-        """Exact membership of the empty word."""
-        if self._kind == _KIND_EXPLICIT:
-            return EMPTY_WORD in self._words
-        return self._has_unit()
-
-    @_memo("has_unit")
-    def _has_unit(self) -> bool:
-        units = [c.has_unit() for c in self._children]
-        # the multiplicity of the empty word in a product is the product of
-        # its multiplicities in the factors
-        return all(units) if self._kind == _KIND_PRODUCT else sum(units) % 2 == 1
-
     @_memo("bounds")
     def count_bounds(self, letter: str | None) -> tuple[int, int]:
         """Bounds on the multiplicity of `letter` across words, or on word
@@ -291,23 +281,33 @@ class Poly:
     def contains(self, word: Word) -> bool:
         if self._kind == _KIND_EXPLICIT:
             return word in self._words
-        if not word:
-            return self.has_unit()
+        return self._spans(word)[0] >> len(word) & 1 == 1
+
+    def has_unit(self) -> bool:
+        """Exact membership of the empty word: _spans at the empty word."""
+        if self._kind == _KIND_EXPLICIT:
+            return EMPTY_WORD in self._words
+        return self._spans(EMPTY_WORD) == (1,)
+
+    @_memo("spans")
+    def _spans(self, word: Word) -> tuple[int, ...]:
+        """The value's image in the upper-triangular bit matrices over the
+        positions 0..len(word): bit j of row i is the coefficient of word[i:j].
+        A sum adds its terms' rows, a product multiplies its factors'
+        matrices; the rows are kept for each word asked about."""
+        if self._kind == _KIND_EXPLICIT:
+            n, words = len(word), self._words
+            # candidate subword lengths: all of 0..n when fewer than the words
+            lengths = range(n + 1) if n < len(words) else {len(w) for w in words}
+            return tuple(
+                sum(1 << i + k for k in lengths if i + k <= n and word[i : i + k] in words)
+                for i in range(n + 1)
+            )
+        parts = [c._spans(word) for c in self._children]
         if self._kind == _KIND_SUM:
-            flag = False
-            for t in self._children:
-                flag ^= t.contains(word)
-            return flag
-        # Product: parity of the number of admissible splits.
-        a, b = self._children
-        n = len(word)
-        alo, ahi = a.count_bounds(None)
-        blo, bhi = b.count_bounds(None)
-        flag = False
-        for i in range(max(alo, n - bhi), min(ahi, n - blo) + 1):
-            if a.contains(word[:i]) and b.contains(word[i:]):
-                flag = not flag
-        return flag
+            return tuple(functools.reduce(int.__xor__, rows) for rows in zip(*parts))
+        a, b = parts
+        return tuple(_times(row, b) for row in a)
 
     # -- materialization ---------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import inspect
+import itertools
+import random
 import sys
 
 import pytest
@@ -37,6 +39,13 @@ def P(text):
 
 def F(n):
     return fibonacci_lengths(n)[1]
+
+
+def is_path_word(n, index):
+    """b_i1 ... b_ik is a word of B11(n) iff 0 < i1 < ... < ik < n + 1 and
+    every gap, those from 0 and to n + 1 included, is odd."""
+    bounds = [0, *index, n + 1]
+    return all(j - i > 0 and (j - i) % 2 for i, j in zip(bounds, bounds[1:]))
 
 
 @contextlib.contextmanager
@@ -90,6 +99,32 @@ class TestPathMatrix:
             assert entry.rename({"b1": "c1"}).tau("c1") == F(61)
             assert AlgebraMap({"b1": P("c1 + c2")}).apply(entry).length() == F(62) + F(61)
             assert torus_tangle(61, "k").word.length() == F(61) ** 2 + F(60)
+            path = tuple(f"b{i}" for i in range(1, 62))
+            assert entry.contains(path)
+            assert not entry.contains(path[::2])  # b1 b3 ... b61
+
+    def test_membership_follows_path_word_rule(self, monkeypatch):
+        for n in range(1, 11):  # the rule against the expansion
+            words = {
+                tuple(f"b{i}" for i in index)
+                for k in range(n + 1)
+                for index in itertools.combinations(range(1, n + 1), k)
+                if is_path_word(n, index)
+            }
+            assert path_matrix(n)[1, 1].expand() == words
+        entry = path_matrix(61)[1, 1]
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        rng = random.Random(61)
+        for trial in range(50):
+            if trial % 2:
+                index = sorted(rng.sample(range(1, 62), rng.randint(0, 61)))
+            else:  # odd gaps from 0; the last index odd makes the gap to 62 odd
+                index = list(itertools.accumulate(rng.choice((1, 3, 5)) for _ in range(30)))
+                index = [i for i in index if i <= 61]
+                index = index[: len(index) - 1 + len(index) % 2]
+                assert is_path_word(61, index)
+            word = tuple(f"b{i}" for i in index)
+            assert entry.contains(word) == is_path_word(61, index)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):

@@ -6,7 +6,7 @@ import pytest
 
 from legch import algebra
 from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str
-from legch.builders import torus_knot_dga
+from legch.builders import path_matrix, torus_knot_dga
 from legch.dga import (
     Dga,
     DgaError,
@@ -264,6 +264,18 @@ class TestInvariants:
         assert not zero.is_explicit and not zero
         gens = (Generator("x", 0), Generator("y", 0))
         assert Dga(gens, {"x": zero, "y": P("x")}).differential == {"y": P("x")}
+
+    def test_zero_test_past_the_cap(self):
+        # neither sum has a certificate and both expand past EXPANSION_CAP,
+        # so whether the image is zero is decided without expanding
+        a = path_matrix(41)[1, 1]
+        x, y, z = map(Poly.gen, "xyz")
+        gens = tuple(Generator(c, 0) for c in sorted(a.alphabet() | {"c", "x", "y", "z"}))
+        kept = add(mul(a, x + y), mul(a, y + z))  # a x + a z
+        assert kept.size_bound() > algebra.EXPANSION_CAP
+        assert Dga(gens, {"c": kept}).differential == {"c": kept}
+        zero = add(add(mul(a, x + y), mul(a, x)), mul(a, y))
+        assert Dga(gens, {"c": zero}).differential == {}
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DgaError):

@@ -247,6 +247,20 @@ class TestLengthAndSlices:
             p = build(tree, namespaced(itertools.count()))
             assert_top_stats_match_expansion(p, f"k{k}.{c}")
 
+    @settings(deadline=None)
+    @given(lazy_trees)
+    def test_lazy_membership_matches_expansion(self, tree):
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            p = build(tree)
+            words = p.expand()
+            probes = {(), ("f",), ("a", "f")}
+            for w in words:
+                probes.update(w[:i] for i in range(len(w) + 1))
+                probes.update(w[i:] for i in range(len(w) + 1))
+            for w in probes:
+                assert p.contains(w) == (w in words)
+            assert p.has_unit() == (() in words)
+
     @given(words, polys, words)
     def test_sandwich_preserves_length(self, u, p, v):
         sandwich = mul(mul(Poly.word(*u), p), Poly.word(*v))
