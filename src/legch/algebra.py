@@ -192,32 +192,30 @@ class Poly:
         return self._kind == _KIND_EXPLICIT
 
     def __bool__(self) -> bool:
-        # Not memoized: _memo would fill every descendant, while this test
-        # stops at the first certificate.
         if self._kind == _KIND_EXPLICIT:
             return bool(self._words)
-        if self._kind == _KIND_PRODUCT:
-            return all(self._children)  # the free algebra has no zero divisors
-        if self._free or _pairwise_disjoint(self._children):
-            # no word cancels across disjoint terms
-            return any(self._children)
-        try:
-            return self.length() != 0
-        except ExpansionTooLarge:
-            return self != _ZERO  # exact, and never expands
-
-    def is_singleton(self) -> bool:
-        """True when the value is certainly a single word: no composite
-        node has a zero child, so a sum's bound is at least 2 and a
-        product's is 1 exactly when every factor's is."""
-        return self.size_bound() == 1
-
-    def the_word(self) -> Word:
-        """The unique word of a singleton polynomial."""
-        if self._kind == _KIND_EXPLICIT:
-            (w,) = self._words
-            return w
-        return tuple(itertools.chain.from_iterable(f.the_word() for f in self._children))
+        # Nonzero when every node on the stack is: each factor of a product
+        # (no zero divisors), one term of a sum where no word cancels (an
+        # explicit one at once: no composite has a zero child), and any other
+        # sum by its count.  Not memoized, so that it stops at that one term.
+        seen, stack = set(), [self]
+        while stack:
+            p = stack.pop()
+            if p._kind == _KIND_EXPLICIT or p._token in seen:
+                continue
+            seen.add(p._token)
+            if p._kind == _KIND_PRODUCT:
+                stack.extend(p._children)
+            elif p._free or _pairwise_disjoint(p._children):
+                stack.append(min(p._children, key=lambda t: t._kind != _KIND_EXPLICIT))
+            else:
+                try:
+                    zero = p.length() == 0
+                except ExpansionTooLarge:
+                    zero = p == _ZERO  # exact, and never expands
+                if zero:  # a zero term need not make the value zero
+                    return p is not self and self != _ZERO
+        return True
 
     @_memo("alphabet")
     def alphabet(self) -> frozenset[str]:
@@ -361,17 +359,12 @@ class Poly:
         product = self._kind == _KIND_PRODUCT
         if self._free or not product and _pairwise_disjoint(terms):
             return (math.prod if product else sum)(t.length() for t in terms)
-        if product:
-            return len(self.expand())
-        # Singleton terms can be resolved by exact membership tests.
-        singles = [t for t in terms if t.is_singleton()]
-        bigs = [t for t in terms if not t.is_singleton()]
-        if len(bigs) == 1 and _pairwise_disjoint(singles):
-            big = bigs[0]
-            n = big.length()
-            for s in singles:
-                n += -1 if big.contains(s.the_word()) else 1
-            return n
+        explicit = [t for t in terms if t._kind == _KIND_EXPLICIT]
+        if not product and len(explicit) == len(terms) - 1:
+            # one symbolic term: count the explicit part's words against it
+            (big,) = (t for t in terms if t._kind != _KIND_EXPLICIT)
+            words = functools.reduce(frozenset.symmetric_difference, (t._words for t in explicit))
+            return big.length() + sum(-1 if big.contains(w) else 1 for w in words)
         return len(self.expand())
 
     def max_count(self, g: str) -> int:
@@ -580,7 +573,6 @@ def _rebuild(p: Poly, letters, leaf, node) -> Poly:
 
 
 def _pairwise_disjoint(polys) -> bool:
-    polys = [p for p in polys if p is not _ZERO]
     return all(_certainly_disjoint(a, b) for a, b in itertools.combinations(polys, 2))
 
 
@@ -606,7 +598,7 @@ def _pair_injective(a: Poly, g: Poly) -> bool:
     """Certificate that (u, v) -> u v is injective on a-words x g-words:
     the split point of every concatenation can be read off it."""
     # A singleton side fixes the split position.
-    if a.is_singleton() or g.is_singleton():
+    if a.size_bound() == 1 or g.size_bound() == 1:
         return True
     # Seam: the last letter of u v that may end an a-word ends u, since v
     # has none (u is empty when there is none); mirrored, the first letter
@@ -896,7 +888,9 @@ class AlgebraMap:
         return {
             g: img
             for g, img in self.assignments.items()
-            if not (img.is_singleton() and img.the_word() == (g,))
+            # a composite singleton is a product of nonempty words: its one
+            # word has two letters at least
+            if img._words != {(g,)}
         }
 
     def __eq__(self, other: object) -> bool:

@@ -90,8 +90,6 @@ class _Run:
 
 
 def cmd_build(run: _Run, args) -> int:
-    if args.kind != "torus":
-        raise DgaError(f"unknown build kind {args.kind!r}")
     dga = torus_knot_dga(args.n)
     run.emit(args, dga_to_dict(dga))
     return 0

@@ -288,6 +288,16 @@ class TestLazyConsistency:
         got = m.apply(mul(w, t))
         assert got.expand() == expected.expand()
 
+    def test_length_against_one_symbolic_term(self, monkeypatch):
+        # the explicit part of each sum has two words, counted by membership
+        # in the one symbolic term (a + b + a b and its unit)
+        lazy(monkeypatch)
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        s = add(P("1 + a b c"), mul(P("1 + a"), P("1 + b")))
+        assert s.length() == 4
+        # explicit terms that share a word: 1 + a b c + a b c + b a
+        assert add(s, P("a b c + b a")).length() == 4
+
     def test_expansion_cap(self, monkeypatch):
         lazy(monkeypatch)
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 10)

@@ -1,6 +1,7 @@
 """Unit tests for path matrices, torus knots, tangles, and connected sums."""
 
 import contextlib
+import functools
 import inspect
 import itertools
 import random
@@ -102,6 +103,20 @@ class TestPathMatrix:
             path = tuple(f"b{i}" for i in range(1, 62))
             assert entry.contains(path)
             assert not entry.contains(path[::2])  # b1 b3 ... b61
+
+    def test_zero_tests_and_maps_do_not_recurse_per_level(self):
+        # 3000 levels: a product certified by its seams, and a singleton
+        # chain whose one word has 3000 letters
+        n = 3000
+        product = functools.reduce(mul, [P(f"x{i} + y{i}") for i in range(n)])
+        chain = algebra.unsafe_injective_product([Poly.gen(f"x{i}") for i in range(n)])
+        gens = tuple(Generator(f"{c}{i}", 0) for i in range(n) for c in "xy")
+        with frames_to_spare(100):
+            assert product
+            assert Dga((*gens, Generator("c", 1)), {"c": product}).d("c") is product
+            assert AlgebraMap({"x": chain}).normalized() == {"x": chain}
+            assert AlgebraMap({"x": chain}) == AlgebraMap({"x": chain})
+            assert AlgebraMap({"x": chain}) != AlgebraMap({"x": P("x")})
 
     def test_membership_follows_path_word_rule(self, monkeypatch):
         for n in range(1, 11):  # the rule against the expansion

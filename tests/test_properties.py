@@ -223,6 +223,7 @@ def assert_certificates_hold(p):
 
 def assert_top_stats_match_expansion(p, g):
     words = p.expand()
+    assert bool(p) == bool(words)
     counts = [w.count(g) for w in words]
     top = max(counts, default=0)
     assert p.max_count(g) == top
