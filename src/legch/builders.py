@@ -10,9 +10,11 @@ degree-1 crossing a with d(a) = 1 + W_1 ... W_k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import algebra
 from .algebra import (
     Poly,
     add,
@@ -54,6 +56,19 @@ class EmptyList(BuilderError):
     pass
 
 
+# Results each memoized builder keeps alive, so that a later build finds the
+# hash-consed nodes it shares with them, with their memoized statistics.
+_KEPT = 32
+
+
+def _kept(build):
+    """`build` memoized on its arguments and the LAZY_THRESHOLD it runs under."""
+    cached = functools.lru_cache(_KEPT)(lambda _threshold, *args: build(*args))
+    builder = functools.wraps(build)(lambda *args: cached(algebra.LAZY_THRESHOLD, *args))
+    builder.cache_clear = cached.cache_clear
+    return builder
+
+
 @dataclass(frozen=True)
 class PathMatrix:
     """2x2 matrix of polynomials: ((B11, B12), (B21, B22))."""
@@ -69,6 +84,7 @@ class PathMatrix:
         return (a.length(), b.length(), c.length(), d.length())
 
 
+@_kept
 def path_matrix(n: int) -> PathMatrix:
     """Ordered product of [[b_i, 1], [1, 0]] for i = 1..n."""
     if n < 1:
@@ -160,6 +176,7 @@ def tangle_from_knot(dga: Dga, closure: str, prefix: str) -> Tangle:
     return Tangle(internal, add(renamed.d(closure), Poly.one()), prefix)
 
 
+@_kept
 def torus_tangle(n: int, prefix: str) -> Tangle:
     """Tangle of K_{n,2} opened at the a2 kink."""
     return tangle_from_knot(torus_knot_dga(n), "a2", prefix)

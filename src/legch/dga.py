@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -65,7 +66,7 @@ def _undeclared(p: Poly, names: frozenset[str]) -> list[str]:
 @dataclass(frozen=True)
 class Dga:
     generators: tuple[Generator, ...]
-    differential: dict[str, Poly]
+    differential: Mapping[str, Poly]
     rotation_zero: bool = True
     # name -> generator and the name set, built once per DGA
     _index: dict[str, Generator] = field(init=False, repr=False, compare=False)
@@ -83,7 +84,8 @@ class Dga:
             if extra:
                 raise UnknownGenerator(f"d({name}) mentions undeclared generators {extra}")
         # the one place zero images are dropped: d(g) = 0 is stored by absence
-        object.__setattr__(self, "differential", {n: p for n, p in self.differential.items() if p})
+        kept = MappingProxyType({n: p for n, p in self.differential.items() if p})
+        object.__setattr__(self, "differential", kept)  # read-only: a DGA may be shared
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "names", names)
 

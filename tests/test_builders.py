@@ -145,6 +145,15 @@ class TestPathMatrix:
         with pytest.raises(TooSmall):
             path_matrix(0)
 
+    def test_larger_build_reuses_kept_nodes(self):
+        # a dropped result is kept, so the build at n + 2 interns only the
+        # composite nodes of its two new steps, four each
+        path_matrix(61)
+        before = next(algebra._SERIALS)
+        m = path_matrix(63)
+        assert next(algebra._SERIALS) - before - 1 <= 8
+        assert m.lengths() == fibonacci_lengths(63)
+
 
 class TestFibonacci:
     def test_values(self):
@@ -255,6 +264,14 @@ class TestTangle:
     def test_not_degree_one(self):
         with pytest.raises(NotDegreeOne):
             tangle_from_knot(torus_knot_dga(3), "b1", "")
+
+    def test_kept(self):
+        assert torus_tangle(7, "k1") is torus_tangle(7, "k1")
+
+    def test_kept_differential_is_read_only(self):
+        # a kept tangle is shared by every caller, so none may change it
+        with pytest.raises(TypeError):
+            torus_tangle(3, "k1").internal.differential["k1.a1"] = Poly.one()
 
     def test_json_round_trip(self):
         t = torus_tangle(3, "k1")
