@@ -32,9 +32,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 Word = tuple[str, ...]
 EMPTY_WORD: Word = ()
 
-# Products predicted to expand past this stay symbolic.  Kept small so
-# substitution into iterated products composes structurally instead of
-# re-expanding at every level.
+# Explicit values are multiplied or added into an explicit value of at most
+# this many words; past it the result stays symbolic.  A product with a
+# symbolic factor is always a product node, however small its size bound:
+# expanding it would mix the factors' letters into explicit words that every
+# later substitution rewrites one letter at a time, instead of composing
+# structurally.
 LAZY_THRESHOLD = 64
 # Hard cap for on-demand materialization.
 EXPANSION_CAP = 5_000_000
@@ -828,11 +831,8 @@ def mul(p: Poly, q: Poly) -> Poly:
         return q
     if q is _ONE:
         return p
-    if p._kind == q._kind == _KIND_EXPLICIT:
-        if len(p._words) * len(q._words) <= LAZY_THRESHOLD:
-            return Poly._explicit(_concat(p._words, q._words))
-    elif p.size_bound() * q.size_bound() <= LAZY_THRESHOLD:
-        return Poly._explicit(_concat(p.expand(), q.expand()))
+    if p._kind == q._kind == _KIND_EXPLICIT and len(p._words) * len(q._words) <= LAZY_THRESHOLD:
+        return Poly._explicit(_concat(p._words, q._words))
     return _node(_KIND_PRODUCT, (p, q))
 
 
@@ -885,12 +885,12 @@ class AlgebraMap:
         return out
 
     def normalized(self) -> dict[str, Poly]:
+        """The assignments that move their generator.  Both tests are exact
+        and never expand; membership rules most images out before equality."""
         return {
             g: img
             for g, img in self.assignments.items()
-            # a composite singleton is a product of nonempty words: its one
-            # word has two letters at least
-            if img._words != {(g,)}
+            if not (img.contains((g,)) and img == Poly.gen(g))
         }
 
     def __eq__(self, other: object) -> bool:

@@ -177,7 +177,7 @@ def cmd_verdict(run: _Run, args) -> int:
             length = v.image.length()
         except ExpansionTooLarge:
             length = None
-        poly = poly_to_str(v.image) if v.image.size_bound() <= AUDIT_CAP else None
+        poly = poly_to_str(v.image) if length is not None and length <= AUDIT_CAP else None
         entries.append(
             {
                 "power": j,

@@ -103,6 +103,18 @@ class TestMaps:
         m2 = compose(m, m)
         assert m2("b3") == P("w + b1 b2 w")
 
+    def test_equal_to_identity_through_a_composite_image(self):
+        # A and A' are the same value as different nodes: g + A + A' is g
+        rows = P(" + ".join(f"c{i}" for i in range(9)))
+        a = mul(P(" + ".join(f"a{i}" for i in range(9))), rows)
+        a_rows = Poly.zero()
+        for i in range(9):
+            a_rows = add(a_rows, mul(Poly.gen(f"a{i}"), rows))
+        image = add(add(a, Poly.gen("g")), a_rows)
+        assert not image.is_explicit
+        assert AlgebraMap({"g": image}) == AlgebraMap.identity()
+        assert AlgebraMap({"g": add(image, P("a0 c0"))}) != AlgebraMap.identity()
+
     def test_compose_moving_nothing_is_inner(self):
         m = AlgebraMap({"x": P("x + z y")})
         assert compose(AlgebraMap.identity(), m) is m
@@ -175,6 +187,16 @@ class TestProducts:
         product = mul(eight, nine)
         assert not product.is_explicit
         assert product.length() == 72
+
+    def test_symbolic_factor_stays_a_node(self, monkeypatch):
+        # bounds of 8 and 4, within LAZY_THRESHOLD: the product is still a node
+        s = unsafe_disjoint_sum([P("a"), P("b")])
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        for product in (mul(s, P("c + d + e + f")), mul(P("c + d + e + f"), s), mul(s, s)):
+            assert product.size_bound() <= algebra.LAZY_THRESHOLD
+            assert not product.is_explicit
+        assert mul(s, P("c + d + e + f")).length() == 8
+        assert mul(s, s) == P("a a + a b + b a + b b")
 
 
 class CountingRegex:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from legch import cli
 from legch.algebra import poly_to_str
 from legch.cli import main
 from legch.moves import kalman_monodromy
@@ -360,6 +361,18 @@ class TestVerdict:
                 "length": image.length(),
                 "poly": poly_to_str(image),
             }
+
+    def test_audit_decided_by_word_count(self, capsys, monkeypatch):
+        # mu^3(b3) for the fly 3 has 85 words under a size bound of 203: the
+        # audit cap is compared with the word count, not with the bound
+        _, fly_word = family_dga([3])
+        image = kalman_monodromy(fly_word, 3)("b3")
+        assert image.length() == 85 < image.size_bound()
+        for cap, poly in ((85, poly_to_str(image)), (84, None)):
+            monkeypatch.setattr(cli, "AUDIT_CAP", cap)
+            _, out, _ = run_cli(capsys, "verdict", "--fly", "3", "--power", "3")
+            (entry,) = json.loads(out)["entries"]
+            assert entry["mu_witness"] == {"length": 85, "poly": poly}
 
     def test_fly_not_integers_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

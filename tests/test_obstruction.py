@@ -143,14 +143,35 @@ class TestTauValues:
         counts = [w.count("b3") for w in value.expand()]
         assert tau == counts.count(max(counts)) == 2 * fly_word.length() ** 3
 
-    @pytest.mark.parametrize("fly", [(19,), (21,), (45,), (21, 45)])
+    def test_j5_value_against_expansion(self):
+        _, fly_word = family_dga([3])
+        value = add(kalman_monodromy(fly_word, 5)("b3"), Poly.gen("b3"))
+        counts = [w.count("b3") for w in value.expand()]
+        assert value.tau("b3") == counts.count(max(counts)) == 8500
+
+    @pytest.mark.parametrize("fly", [(3,), (3, 3)])
+    def test_powers_compose_structurally(self, fly):
+        # a product with a symbolic factor stays a node, so each power adds a
+        # few composite nodes to the one before it; expanding small products
+        # made the fly 3 create 90 nodes at j = 3 and 2 053 at j = 4.  The
+        # count varies by a few with the hash seed's set orders.
+        _, fly_word = family_dga(fly)
+        kept = []
+        for j in (3, 4, 5):
+            before = next(algebra._SERIALS)
+            kept.append(kalman_monodromy(fly_word, j))
+            assert next(algebra._SERIALS) - before - 1 <= 20
+
+    @pytest.mark.parametrize("fly", [(19,), (21,), (45,), (21, 45), (3,), (3, 3)])
     def test_large_flies_without_expansion(self, fly, monkeypatch):
+        # from the fly's DGA to tau, nothing is expanded, for the smallest
+        # flies as for those whose l(W) = prod (F(n)^2 + F(n-1)) is far past
+        # any expansion
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
         dga, fly_word = family_dga(fly)
         mus = {j: kalman_monodromy(fly_word, j) for j in (1, 2, 3, 4)}
-        # l(W) = prod (F(n)^2 + F(n-1)), far past any expansion
         _, f, _, f_prev = zip(*map(fibonacci_lengths, fly))
         l_w = math.prod(a * a + b for a, b in zip(f, f_prev))
-        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
         assert fly_word.length() == l_w
         for j, tau, ok, conclusion in (
             (1, 1, True, "nontrivial"),
