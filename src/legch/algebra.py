@@ -50,7 +50,22 @@ class AlgebraError(Exception):
 
 
 class ExpansionTooLarge(AlgebraError):
-    """A query required materializing more words than EXPANSION_CAP."""
+    """A query required materializing more words than EXPANSION_CAP.
+
+    `query` names the query that failed (`expand` when it was called
+    directly), `kind` (sum, product or explicit) and `bound` the node whose
+    words it needed.  Each public query that can expand renames the query
+    on its way out, so the outermost one is named."""
+
+    def __init__(self, kind: str, bound: int, cap: int, query: str = "expand"):
+        super().__init__(kind, bound, cap, query)
+        self.kind, self.bound, self.cap, self.query = kind, bound, cap, query
+
+    def __str__(self) -> str:
+        return (
+            f"{self.query}: expansion bound {self.bound} of a {self.kind} node"
+            f" exceeds cap {self.cap}"
+        )
 
 
 class BadGeneratorName(AlgebraError):
@@ -72,9 +87,10 @@ def check_name(name: str) -> str:
     return checked
 
 
-_KIND_EXPLICIT = "x"
-_KIND_PRODUCT = "p"
-_KIND_SUM = "s"
+# the kinds of node, as ExpansionTooLarge names them
+_KIND_EXPLICIT = "explicit"
+_KIND_PRODUCT = "product"
+_KIND_SUM = "sum"
 
 
 def _memo(name: str):
@@ -314,9 +330,7 @@ class Poly:
 
     def expand(self) -> frozenset[Word]:
         if self.size_bound() > EXPANSION_CAP:
-            raise ExpansionTooLarge(
-                f"expansion bound {self.size_bound()} exceeds cap {EXPANSION_CAP}"
-            )
+            raise ExpansionTooLarge(self._kind, self.size_bound(), EXPANSION_CAP)
         if self._kind == _KIND_EXPLICIT:
             return self._words
         return self._expanded()
@@ -338,13 +352,21 @@ class Poly:
 
     def words(self) -> frozenset[Word]:
         """Explicit word set (materializes; may raise ExpansionTooLarge)."""
-        return self.expand()
+        try:
+            return self.expand()
+        except ExpansionTooLarge as exc:
+            exc.query = "words"
+            raise
 
     def canonical_words(self) -> list[Word]:
         """Words in length-then-lexicographic order.  Within one length,
         joined words sort as their letter tuples: the space sorts below
         every character a generator name may hold."""
-        ws = sorted(self.expand(), key=" ".join)
+        try:
+            ws = sorted(self.expand(), key=" ".join)
+        except ExpansionTooLarge as exc:
+            exc.query = "canonical_words"
+            raise
         ws.sort(key=len)  # stable: lexicographic within each length
         return ws
 
@@ -354,7 +376,11 @@ class Poly:
         """Exact number of words in the canonical form."""
         if self._kind == _KIND_EXPLICIT:
             return len(self._words)
-        return self._length()
+        try:
+            return self._length()
+        except ExpansionTooLarge as exc:
+            exc.query = "length"
+            raise
 
     @_memo("length")
     def _length(self) -> int:
@@ -371,19 +397,23 @@ class Poly:
         return len(self.expand())
 
     def max_count(self, g: str) -> int:
-        return self._top_stats(g)[0]
+        return self._top_stats(g, "max_count")[0]
 
     def tau(self, g: str) -> int:
-        return self._top_stats(g)[1]
+        return self._top_stats(g, "tau")[1]
 
-    def _top_stats(self, g: str) -> tuple[int, int]:
+    def _top_stats(self, g: str, query: str) -> tuple[int, int]:
         """Exact (max multiplicity of g, number of words attaining it): the
         highest nonzero slice and its length; (0, 0) for the zero polynomial."""
         lo, hi = self.count_bounds(g)
-        for k in range(hi, lo - 1, -1):
-            t = self.slice(g, k).length()
-            if t:
-                return (k, t)
+        try:
+            for k in range(hi, lo - 1, -1):
+                t = self.slice(g, k).length()
+                if t:
+                    return (k, t)
+        except ExpansionTooLarge as exc:
+            exc.query = query
+            raise
         return (0, 0)
 
     def slice(self, g: str, k: int) -> "Poly":
@@ -864,14 +894,40 @@ class AlgebraMap:
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:
-        images = {c: self(c) for c in p.alphabet()}
-        acc = _ZERO
-        for w in p._words:
-            img = _ONE
-            for c in w:
-                img = mul(img, images[c])
-            acc = add(acc, img)
-        return acc
+        """The image of an explicit p, equal in value and in kind to the fold
+        acc = add(acc, mul(..mul(1, self(c1)).., self(ck))) over its words
+        c1..ck.  That fold makes a node per letter; this walks each word once
+        (_word_image): a run of letters the map does not move is copied as
+        one slice, and only the moved letters' images are multiplied in.
+
+        The bound: mul and add return the other operand of a zero or a unit
+        as it is, and make an explicit node of two explicit values exactly
+        when their sizes multiply (mul) or add (add) to at most
+        LAZY_THRESHOLD.  While every image in play is explicit and each step
+        stays within that bound, every value of the fold is explicit, so it
+        is its word set, which is what is collected here: the result is the
+        fold's explicit node.  From the first word past the bound the fold
+        goes on over nodes from that same value, so a symbolic result is the
+        fold's node too."""
+        images = self.assignments
+        words = iter(p._words)
+        acc: set[Word] = set()
+        for w in words:
+            img = _word_image(w, images)
+            if img is not None and (not acc or not img or len(acc) + len(img) <= LAZY_THRESHOLD):
+                acc.symmetric_difference_update(img)
+                continue
+            node = add(Poly._explicit(frozenset(acc)), self._word_node(w, img))
+            for w in words:
+                node = add(node, self._word_node(w, _word_image(w, images)))
+            return node
+        return Poly._explicit(frozenset(acc))
+
+    def _word_node(self, w: Word, img: Iterable[Word] | None) -> Poly:
+        """The fold's node for the word w, given _word_image(w)."""
+        if img is not None:
+            return Poly._explicit(frozenset(img))
+        return functools.reduce(mul, map(self, w), _ONE)
 
     def compose(self, inner: "AlgebraMap") -> "AlgebraMap":
         """self after inner: g -> self(inner(g)).  A generator inner fixes
@@ -905,6 +961,43 @@ class AlgebraMap:
             for g, img in sorted(self.assignments.items())
         )
         return f"AlgebraMap({{{parts}}})"
+
+
+def _word_image(w: Word, images: Mapping[str, Poly]) -> Sequence[Word] | frozenset[Word] | None:
+    """The distinct words of the image of w under the substitution
+    `images`, or None when the fold of mul over its letters' images makes a
+    product node.  A run of letters that `images` does not move is one
+    factor, the slice of w."""
+    acc: Sequence[Word] | frozenset[Word] | None = _ONE._words
+    start = 0
+    for i, c in enumerate(w):
+        img = images.get(c)
+        if img is None:
+            continue
+        if img._kind != _KIND_EXPLICIT:
+            return None
+        if start < i:
+            acc = _times_words(acc, (w[start:i],))
+        if img is not _ONE:
+            acc = _times_words(acc, img._words)
+        start = i + 1
+    if start < len(w):
+        acc = _times_words(acc, (w[start:],))
+    return acc
+
+
+def _times_words(acc, words):
+    """The distinct words of acc times `words`, as mul multiplies explicit
+    values, or None where mul makes a product node (or acc is None); acc
+    is _ONE._words for the unit."""
+    if acc is _ONE._words:
+        return words
+    if acc is None or len(acc) * len(words) > LAZY_THRESHOLD:
+        return None
+    if len(words) == 1:  # appending one word never cancels
+        (v,) = words
+        return [u + v for u in acc]
+    return _concat(acc, words)
 
 
 def _apply_node(p: Poly, children: list[Poly]) -> Poly:

@@ -10,6 +10,7 @@ Exit status: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -213,7 +214,10 @@ def cmd_verify(run: _Run, args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than parsing, and main may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="legch",
         description="Exact Chekanov-Eliashberg DGA calculator for Legendrian "

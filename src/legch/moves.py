@@ -111,9 +111,7 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
 
     if isinstance(event, RIIIb):
         _require(state, event.x, event.y, event.z)
-        sub = AlgebraMap(
-            {event.x: add(Poly.gen(event.x), mul(Poly.gen(event.z), Poly.gen(event.y)))}
-        )
+        sub = AlgebraMap({event.x: Poly.from_words([(event.x,), (event.z, event.y)])})
         diff = {name: sub.apply(p) for name, p in state.differential.items()}
         if all(diff[name] is p for name, p in state.differential.items()):
             return sub, state  # no differential mentions x

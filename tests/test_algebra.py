@@ -328,6 +328,27 @@ class TestLazyConsistency:
         with pytest.raises(ExpansionTooLarge):
             prod.expand()
 
+    def test_expansion_error_names_the_query(self, monkeypatch):
+        lazy(monkeypatch)
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 3)
+        # four words, and no certificate rules out their cancelling
+        p = mul(P("a b + b a"), P("a b + b a"))
+        queries = {
+            "length": p.length,
+            "tau": lambda: p.tau("b"),
+            "max_count": lambda: p.max_count("b"),
+            "words": p.words,
+            "canonical_words": p.canonical_words,
+            "expand": p.expand,
+        }
+        for query, call in queries.items():
+            with pytest.raises(ExpansionTooLarge) as info:
+                call()
+            assert (info.value.query, info.value.kind, info.value.bound) == (query, "product", 4)
+            assert str(info.value) == f"{query}: expansion bound 4 of a product node exceeds cap 3"
+        with pytest.raises(ExpansionTooLarge, match="^words: expansion bound 8 of a sum node"):
+            add(p, mul(P("a + b"), P("a + b"))).words()
+
 
 class TestZeroTest:
     def test_disjoint_sum_of_zero_valued_terms(self, monkeypatch):

@@ -55,6 +55,15 @@ class TestBuild:
         assert exc.value.code == 2
 
 
+    def test_parser_built_once(self, capsys):
+        assert cli._parser() is cli._parser()
+        # an appended option starts empty on each call
+        _, first, _ = run_cli(capsys, "verdict", "--fly", "3", "--power", "1")
+        _, second, _ = run_cli(capsys, "verdict", "--fly", "3", "--power", "2")
+        assert [e["power"] for e in json.loads(first)["entries"]] == [1]
+        assert [e["power"] for e in json.loads(second)["entries"]] == [2]
+
+
 class TestPipeline:
     def make_tangle(self, capsys, tmp_path, n, prefix):
         dga_path = tmp_path / f"{prefix}dga.json"

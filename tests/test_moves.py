@@ -95,6 +95,12 @@ class TestHolonomy:
         assert h("x") == P("x + z y")
         assert h("y") == P("y")
 
+    def test_riii_b_image_is_one_explicit_node(self):
+        h, _ = holonomy(RIIIb("x", "y", "z"), degree_zero_dga("x", "y", "z"))
+        (image,) = h.assignments.values()
+        assert image.is_explicit
+        assert image == P("x + z y")
+
     def test_riii_b_rewrites_state(self):
         state = Dga(
             (
@@ -270,6 +276,39 @@ class TestRunScript:
             "verified",
         )
         assert run_script(script).map("g2") == P("g2 + g3 g0 g1")
+
+
+# RIIIb events and a Relabel between an RII birth and its RIIInv death, and
+# one RIIIb after the death
+WINDOW_SCRIPT = (
+    RII(Generator("x", 1), Generator("y", 0), {"x": P("y + a b")}),
+    RIIIb("c", "y", "d"),
+    RIIIb("a", "b", "c"),
+    RIIIb("d", "a", "b"),
+    Relabel({"a": "b", "b": "a"}),
+    RIIInv("x", "y"),
+    RIIIb("b", "c", "d"),
+)
+
+
+class TestWindowScript:
+    def run(self, events):
+        return run_script(MoveScript(degree_zero_dga("a", "b", "c", "d"), events, "verified"))
+
+    def test_images(self):
+        # d(x) is y + b a + c a a when x dies, so y goes to b a + c a a
+        mono = self.run(WINDOW_SCRIPT[:-1]).map
+        assert mono.normalized() == {
+            "a": P("b + c a"),
+            "b": P("a"),
+            "c": P("c + d b a + a b b a + d c a a + a b c a a"),
+            "d": P("d + a b"),
+        }
+
+    @pytest.mark.parametrize("cut", [0, 6, 7])
+    def test_halves_compose(self, cut):
+        first, second = self.run(WINDOW_SCRIPT[:cut]), self.run(WINDOW_SCRIPT[cut:])
+        assert compose(second.map, first.map).normalized() == self.run(WINDOW_SCRIPT).map.normalized()
 
 
 class TestFlyFixed:

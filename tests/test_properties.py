@@ -1,10 +1,12 @@
 """Property-based tests for the algebra, maps, and serialization."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest.mock import patch
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legch import algebra
@@ -275,6 +277,104 @@ class TestLengthAndSlices:
     def test_tau_of_marker_free_poly(self, p, g):
         if g not in p.alphabet():
             assert p.tau(g) == p.length()
+
+
+# Substitution.  Values: explicit, or symbolic once built under
+# LAZY_THRESHOLD = 0.  Images: zero, the unit, small explicit values, powers
+# of one letter (whose concatenations cancel mod 2 in pairs), explicit
+# values on either side of LAZY_THRESHOLD = 64 as a size, a product of two
+# sizes and a sum of two sizes, and symbolic values.  Three letters, so
+# that most letters of a value are moved.
+short_words = st.lists(st.sampled_from(LETTERS[:3]), max_size=2).map(tuple)
+short_trees = st.recursive(
+    st.lists(short_words, max_size=3),
+    lambda inner: st.tuples(st.sampled_from((add, mul, cancel)), inner, inner),
+    max_leaves=3,
+)
+
+
+def lazily(tree):
+    with patch.object(algebra, "LAZY_THRESHOLD", 0):
+        return build(tree)
+
+
+def first_words(n):
+    """The first n words over a and b, shortest first."""
+    all_words = (w for k in itertools.count() for w in itertools.product("ab", repeat=k))
+    return Poly.from_words(itertools.islice(all_words, n))
+
+
+values = st.one_of(st.lists(short_words, max_size=6).map(Poly.from_words), short_trees.map(lazily))
+images = st.one_of(
+    st.just(Poly.zero()),
+    st.just(Poly.one()),
+    polys,
+    st.lists(st.integers(0, 3), max_size=4).map(lambda ks: Poly.from_words(("a",) * k for k in ks)),
+    st.sampled_from((8, 9, 32, 33, 64, 65)).map(first_words),
+    short_trees.map(lazily),
+)
+substitutions = st.dictionaries(st.sampled_from(LETTERS[:3]), images, max_size=3).map(AlgebraMap)
+
+
+def fold(m, p):
+    """The substitution of an explicit p, one node per letter through mul
+    and add: the reference for both the value and its explicit/symbolic
+    kind."""
+    acc = Poly.zero()
+    for w in p.words():
+        img = Poly.one()
+        for c in w:
+            img = mul(img, m(c))
+        acc = add(acc, img)
+    return acc
+
+
+def substituted(m, words):
+    """m applied to a word set by multiplying out word sets."""
+    out: set = set()
+    for w in words:
+        img = {()}
+        for c in w:
+            img = set(algebra._concat(img, m(c).words()))
+        out ^= img
+    return out
+
+
+def assert_substitution_matches(m, p):
+    got = m.apply(p)
+    with patch.object(AlgebraMap, "_apply_words", fold):
+        want = m.apply(p)
+    assert got.words() == substituted(m, p.words())
+    assert got.is_explicit == want.is_explicit
+    assert got == want
+
+
+class TestSubstitution:
+    @settings(max_examples=300, deadline=None)
+    @given(substitutions, values)
+    def test_matches_word_sets_and_the_fold(self, m, p):
+        assume(sum(math.prod(m(c).size_bound() for c in w) for w in p.words()) <= 20_000)
+        assert_substitution_matches(m, p)
+
+    # a and b go to the first words over a and b: products of sizes 64
+    # and 72, of 64 and 65 words by one word, sums of sizes 64 and 65, the
+    # unit times 65 words, and zero after 65 words
+    @pytest.mark.parametrize(
+        "sizes, text",
+        [
+            ((8, 8), "a b"),
+            ((8, 9), "a b"),
+            ((64,), "a c"),
+            ((65,), "a c"),
+            ((32, 32), "a + b"),
+            ((32, 33), "a + b"),
+            ((65,), "a"),
+            ((65, 0), "a c b"),
+        ],
+    )
+    def test_at_the_bound(self, sizes, text):
+        m = AlgebraMap(dict(zip("ab", map(first_words, sizes))))
+        assert_substitution_matches(m, poly_from_str(text))
 
 
 # names that are prefixes of one another, with each kind of character a
