@@ -53,9 +53,10 @@ class ExpansionTooLarge(AlgebraError):
     """A query required materializing more words than EXPANSION_CAP.
 
     `query` names the query that failed (`expand` when it was called
-    directly), `kind` (sum, product or explicit) and `bound` the node whose
-    words it needed.  Each public query that can expand renames the query
-    on its way out, so the outermost one is named."""
+    directly), `kind` (sum or product) and `bound` the node whose words it
+    needed: an explicit node's words are in memory, so it never raises.
+    Each public query that can expand renames the query on its way out, so
+    the outermost one is named."""
 
     def __init__(self, kind: str, bound: int, cap: int, query: str = "expand"):
         super().__init__(kind, bound, cap, query)
@@ -213,28 +214,11 @@ class Poly:
     def __bool__(self) -> bool:
         if self._kind == _KIND_EXPLICIT:
             return bool(self._words)
-        # Nonzero when every node on the stack is: each factor of a product
-        # (no zero divisors), one term of a sum where no word cancels (an
-        # explicit one at once: no composite has a zero child), and any other
-        # sum by its count.  Not memoized, so that it stops at that one term.
-        seen, stack = set(), [self]
-        while stack:
-            p = stack.pop()
-            if p._kind == _KIND_EXPLICIT or p._token in seen:
-                continue
-            seen.add(p._token)
-            if p._kind == _KIND_PRODUCT:
-                stack.extend(p._children)
-            elif p._free or _pairwise_disjoint(p._children):
-                stack.append(min(p._children, key=lambda t: t._kind != _KIND_EXPLICIT))
-            else:
-                try:
-                    zero = p.length() == 0
-                except ExpansionTooLarge:
-                    zero = p == _ZERO  # exact, and never expands
-                if zero:  # a zero term need not make the value zero
-                    return p is not self and self != _ZERO
-        return True
+        # the memoized count, or the exact equality, which never expands
+        try:
+            return self.length() != 0
+        except ExpansionTooLarge:
+            return self != _ZERO
 
     @_memo("alphabet")
     def alphabet(self) -> frozenset[str]:
@@ -329,10 +313,11 @@ class Poly:
     # -- materialization ---------------------------------------------------
 
     def expand(self) -> frozenset[Word]:
-        if self.size_bound() > EXPANSION_CAP:
-            raise ExpansionTooLarge(self._kind, self.size_bound(), EXPANSION_CAP)
+        """The word set; only a composite node past EXPANSION_CAP raises."""
         if self._kind == _KIND_EXPLICIT:
             return self._words
+        if self.size_bound() > EXPANSION_CAP:
+            raise ExpansionTooLarge(self._kind, self.size_bound(), EXPANSION_CAP)
         return self._expanded()
 
     @_memo("expanded")
@@ -441,10 +426,14 @@ class Poly:
             )
         a, b = self._children
         (alo, ahi), (blo, bhi) = a.count_bounds(g), b.count_bounds(g)
+
+        def times(u: Poly, v: Poly) -> Poly:
+            return unsafe_injective_product((u, v)) if self._free else mul(u, v)
+
         return tuple(
             join(
                 [
-                    _make_product([a.slice(g, i), b.slice(g, k - i)], injective=self._free)
+                    times(a.slice(g, i), b.slice(g, k - i))
                     for i in range(max(alo, k - bhi), min(ahi, k - blo) + 1)
                 ]
             )
@@ -461,7 +450,7 @@ class Poly:
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Letter-wise renaming; the mapping must be injective on the alphabet.
-        A bijective renaming keeps every certificate."""
+        A bijective renaming keeps every certificate and every count taken."""
         alphabet = self.alphabet()
         relevant = {a: b for a, b in mapping.items() if a in alphabet}
         if not relevant:
@@ -484,6 +473,8 @@ class Poly:
         def node(p: Poly, children: list[Poly]) -> Poly:
             q = _node(p._kind, tuple(children))
             q._free |= p._free
+            if "length" in p._cache:
+                q._cache["length"] = p._cache["length"]
             return q
 
         return _rebuild(self, relevant, leaf, node)
@@ -643,25 +634,6 @@ def _pair_injective(a: Poly, g: Poly) -> bool:
     return g.size_bound() == 2 and g.has_unit() and g.end_letters(-1).isdisjoint(a.alphabet())
 
 
-def _make_product(factors: Iterable[Poly], injective: bool = False) -> Poly:
-    """Left fold of binary product nodes.  `injective` asserts the
-    certificate on every fold: a concatenation map injective on all the
-    factors is injective on each prefix of them."""
-    node = _ONE
-    for f in factors:
-        if f is _ZERO:
-            return _ZERO
-        if f is _ONE:
-            continue
-        if node is _ONE:
-            node = f
-            continue
-        node = _node(_KIND_PRODUCT, (node, f))
-        if injective:
-            node._free = True
-    return node
-
-
 def _make_sum(terms: Iterable[Poly]) -> Poly:
     explicit: set[Word] = set()
     symbolic: dict = {}
@@ -691,8 +663,19 @@ def unsafe_injective_product(factors: Iterable[Poly]) -> Poly:
     For use by builders that can prove cancellation-freeness structurally
     where the generic certificates cannot; a wrong assertion makes length
     and tau queries wrong, so every call site must carry a proof sketch.
+    Folded from the left, each fold certified: a concatenation map
+    injective on all the factors is injective on each prefix of them.
     """
-    return _make_product(factors, injective=True)
+    node = _ONE
+    for f in factors:
+        if f is _ZERO:
+            return _ZERO
+        if node is _ONE:
+            node = f
+        elif f is not _ONE:
+            node = _node(_KIND_PRODUCT, (node, f))
+            node._free = True
+    return node
 
 
 def unsafe_disjoint_sum(terms: Sequence[Poly]) -> Poly:
@@ -894,37 +877,23 @@ class AlgebraMap:
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:
-        """The image of an explicit p, equal in value and in kind to the fold
-        acc = add(acc, mul(..mul(1, self(c1)).., self(ck))) over its words
-        c1..ck.  That fold makes a node per letter; this walks each word once
-        (_word_image): a run of letters the map does not move is copied as
-        one slice, and only the moved letters' images are multiplied in.
-
-        The bound: mul and add return the other operand of a zero or a unit
-        as it is, and make an explicit node of two explicit values exactly
-        when their sizes multiply (mul) or add (add) to at most
-        LAZY_THRESHOLD.  While every image in play is explicit and each step
-        stays within that bound, every value of the fold is explicit, so it
-        is its word set, which is what is collected here: the result is the
-        fold's explicit node.  From the first word past the bound the fold
-        goes on over nodes from that same value, so a symbolic result is the
-        fold's node too."""
+        """The image of an explicit p: _make_sum of its words' images, the
+        image of c1..ck being mul(..mul(1, self(c1)).., self(ck)).  Each
+        word is walked once (_word_image): a run of letters the map does not
+        move is copied as one slice.  While every image is explicit and fits
+        beside the words collected so far, _make_sum would return their one
+        explicit node, so they are collected in one set instead."""
         images = self.assignments
-        words = iter(p._words)
         acc: set[Word] = set()
-        for w in words:
+        for w in p._words:
             img = _word_image(w, images)
-            if img is not None and (not acc or not img or len(acc) + len(img) <= LAZY_THRESHOLD):
-                acc.symmetric_difference_update(img)
-                continue
-            node = add(Poly._explicit(frozenset(acc)), self._word_node(w, img))
-            for w in words:
-                node = add(node, self._word_node(w, _word_image(w, images)))
-            return node
+            if img is None or acc and img and len(acc) + len(img) > LAZY_THRESHOLD:
+                return _make_sum(self._word_node(w, _word_image(w, images)) for w in p._words)
+            acc.symmetric_difference_update(img)
         return Poly._explicit(frozenset(acc))
 
     def _word_node(self, w: Word, img: Iterable[Word] | None) -> Poly:
-        """The fold's node for the word w, given _word_image(w)."""
+        """The node of the image of w, given _word_image(w)."""
         if img is not None:
             return Poly._explicit(frozenset(img))
         return functools.reduce(mul, map(self, w), _ONE)

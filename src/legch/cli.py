@@ -166,7 +166,7 @@ def cmd_script(run: _Run, args) -> int:
 
 def summands(text: str) -> tuple[int, ...]:
     """The odd torus parameters of a comma-separated `--fly` value."""
-    return tuple(int(x) for x in text.split(",") if x)
+    return tuple(int(x) for x in text.split(","))
 
 
 def cmd_verdict(run: _Run, args) -> int:

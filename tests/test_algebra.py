@@ -328,6 +328,13 @@ class TestLazyConsistency:
         with pytest.raises(ExpansionTooLarge):
             prod.expand()
 
+    def test_explicit_values_never_raise(self, monkeypatch):
+        # an explicit value's words are in memory already: no cap applies
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        p = P("a + b")
+        assert p.words() == {("a",), ("b",)}
+        assert poly_to_str(p) == "a + b"
+
     def test_expansion_error_names_the_query(self, monkeypatch):
         lazy(monkeypatch)
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 3)
@@ -486,6 +493,14 @@ class TestHashConsing:
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 1)
         ren = s.rename({"x": "u", "y": "v"})
         assert ren.length() == s.length() == len(want) == 6
+
+    def test_rename_keeps_the_count(self, monkeypatch):
+        lazy(monkeypatch)
+        # no certificate: the count expands, once
+        s = add(mul(P("a + b"), P("a + b")), P("a a + c"))
+        assert not s.is_explicit and s.length() == 4
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        assert s.rename({"a": "x"}).length() == 4
 
 
 class TestEquality:

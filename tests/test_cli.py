@@ -384,10 +384,12 @@ class TestVerdict:
             assert entry["mu_witness"] == {"length": 85, "poly": poly}
 
     def test_fly_not_integers_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verdict", "--fly", "3,x"])
-        assert exc.value.code == 2
-        assert "--fly" in capsys.readouterr().err
+        # an empty item is not an integer either
+        for fly in ("3,x", "3,,7", "3,", ",3", ""):
+            with pytest.raises(SystemExit) as exc:
+                main(["verdict", "--fly", fly])
+            assert exc.value.code == 2
+            assert "--fly" in capsys.readouterr().err
 
     def test_fly_19(self, capsys):
         # its top slices are certified, so tau never expands

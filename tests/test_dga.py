@@ -99,6 +99,28 @@ class TestCheckDga:
         report = check_dga(torus_knot_dga(3))
         assert any("height" in s for s in report.skipped)
 
+    def test_symbolic_image_past_the_cap(self, monkeypatch):
+        # d(x) = (y + z)(y + z y), words y y, y z y, z y, z z y of degrees
+        # 0, 1, 1, 2: only bounded against the target 1, and its d^2 and
+        # heights need its words; d(z) = y is explicit and checked in full
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        image = mul(P("y + z"), P("y + z y"))
+        assert not image.is_explicit
+        gens = (
+            Generator("x", 2, Fraction(9)),
+            Generator("y", 0, Fraction(1)),
+            Generator("z", 1, Fraction(2)),
+        )
+        dga = Dga(gens, {"x": image, "z": P("y")}, True)
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
+        report = check_dga(dga)
+        assert report.violations == []
+        assert report.skipped == [
+            "degree check on symbolic d(x) only bounded to [0,2]",
+            "d^2 check on x: expansion too large",
+            "height check on x: expansion too large",
+        ]
+
 
 def wrong_degree_dga(monkeypatch):
     """d(x) symbolic with word degrees in [0, 2] against a target of 3, and

@@ -1,5 +1,6 @@
 """Property-based tests for the algebra, maps, and serialization."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -318,8 +319,7 @@ substitutions = st.dictionaries(st.sampled_from(LETTERS[:3]), images, max_size=3
 
 def fold(m, p):
     """The substitution of an explicit p, one node per letter through mul
-    and add: the reference for both the value and its explicit/symbolic
-    kind."""
+    and add: the reference for its value."""
     acc = Poly.zero()
     for w in p.words():
         img = Poly.one()
@@ -327,6 +327,13 @@ def fold(m, p):
             img = mul(img, m(c))
         acc = add(acc, img)
     return acc
+
+
+def summed(m, p):
+    """The substitution of an explicit p as one _make_sum of its words'
+    images, each multiplied out one letter at a time through mul: the
+    reference for the node itself, so for its explicit/symbolic kind."""
+    return algebra._make_sum([functools.reduce(mul, map(m, w), Poly.one()) for w in p.words()])
 
 
 def substituted(m, words):
@@ -344,8 +351,10 @@ def assert_substitution_matches(m, p):
     got = m.apply(p)
     with patch.object(AlgebraMap, "_apply_words", fold):
         want = m.apply(p)
+    with patch.object(AlgebraMap, "_apply_words", summed):
+        node = m.apply(p)
     assert got.words() == substituted(m, p.words())
-    assert got.is_explicit == want.is_explicit
+    assert got._token == node._token  # the same node
     assert got == want
 
 
@@ -375,6 +384,20 @@ class TestSubstitution:
     def test_at_the_bound(self, sizes, text):
         m = AlgebraMap(dict(zip("ab", map(first_words, sizes))))
         assert_substitution_matches(m, poly_from_str(text))
+
+    def test_one_sum_node(self):
+        # five products of the symbolic image with a letter, summed in one
+        # node; a fold of add would make a sum node per word
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            image = mul(poly_from_str("x + y"), poly_from_str("x + z"))
+        assert not image.is_explicit
+        m = AlgebraMap({"a": image})
+        p = poly_from_str("a + a b + a c + a d + b a + c a")
+        before = next(algebra._SERIALS)
+        got = m.apply(p)
+        assert next(algebra._SERIALS) - before - 1 <= 6
+        assert got.words() == substituted(m, p.words())
+        assert got == fold(m, p)
 
 
 # names that are prefixes of one another, with each kind of character a
