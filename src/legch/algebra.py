@@ -635,18 +635,45 @@ def _pair_injective(a: Poly, g: Poly) -> bool:
 
 
 def _make_sum(terms: Iterable[Poly]) -> Poly:
+    """The node of the fold acc = add(acc, t) over terms, without its
+    intermediate sums: the running sum is kept flat, its explicit terms
+    merged greedily up to LAZY_THRESHOLD words, the others kept by token.
+    As in add, a zero leaves the other operand as it is, and each step
+    flattens the running sum again, so an explicit term that did not fit is
+    tried again.  (The fold differs where it meets one of its intermediate
+    sums interned already with a certificate.)"""
     explicit: set[Word] = set()
     symbolic: dict = {}
+    spilled = 0  # explicit terms among the symbolic ones
+    lone = None  # the running sum, when it is one term as it is
     for t in terms:
+        if t is _ZERO:
+            continue
+        if lone is None and not explicit and not symbolic:
+            lone = t
+            continue
         # a certified-disjoint sum stays one term, keeping its certificate
         subs = t._children if t._kind == _KIND_SUM and not t._free else (t,)
+        if lone is not None:
+            first = lone._children if lone._kind == _KIND_SUM and not lone._free else (lone,)
+            subs, lone = (*first, *subs), None
+        elif spilled:
+            for s in [s for s in symbolic.values() if s._kind == _KIND_EXPLICIT]:
+                if len(s._words) + len(explicit) <= LAZY_THRESHOLD:
+                    explicit ^= s._words
+                    del symbolic[s._token]
+                    spilled -= 1
         for s in subs:
             if s._kind == _KIND_EXPLICIT and len(s._words) + len(explicit) <= LAZY_THRESHOLD:
                 explicit ^= s._words
             elif s._token in symbolic:
                 del symbolic[s._token]  # identical terms cancel in pairs
+                spilled -= s._kind == _KIND_EXPLICIT
             else:
                 symbolic[s._token] = s
+                spilled += s._kind == _KIND_EXPLICIT
+    if lone is not None:
+        return lone
     flat = list(symbolic.values())
     if explicit:
         flat.insert(0, Poly._explicit(frozenset(explicit)))
@@ -877,18 +904,23 @@ class AlgebraMap:
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:
-        """The image of an explicit p: _make_sum of its words' images, the
-        image of c1..ck being mul(..mul(1, self(c1)).., self(ck)).  Each
-        word is walked once (_word_image): a run of letters the map does not
-        move is copied as one slice.  While every image is explicit and fits
-        beside the words collected so far, _make_sum would return their one
-        explicit node, so they are collected in one set instead."""
+        """The image of an explicit p: the fold acc = add(acc, image of w)
+        over its words w, the image of c1..ck being mul(..mul(1, self(c1))..,
+        self(ck)).  Each word is walked once (_word_image): a run of letters
+        the map does not move is copied as one slice.  While every image is
+        explicit and fits beside the words collected so far, the fold's value
+        is their one explicit node, so they are collected in one set; from
+        the first word that does not, _make_sum builds the fold's node."""
         images = self.assignments
+        words = iter(p._words)
         acc: set[Word] = set()
-        for w in p._words:
+        for w in words:
             img = _word_image(w, images)
             if img is None or acc and img and len(acc) + len(img) > LAZY_THRESHOLD:
-                return _make_sum(self._word_node(w, _word_image(w, images)) for w in p._words)
+                rest = (self._word_node(v, _word_image(v, images)) for v in words)
+                return _make_sum(
+                    itertools.chain((Poly._explicit(frozenset(acc)), self._word_node(w, img)), rest)
+                )
             acc.symmetric_difference_update(img)
         return Poly._explicit(frozenset(acc))
 
@@ -970,9 +1002,7 @@ def _times_words(acc, words):
 
 
 def _apply_node(p: Poly, children: list[Poly]) -> Poly:
-    if p._kind == _KIND_PRODUCT:
-        return functools.reduce(mul, children)
-    return functools.reduce(add, children)
+    return functools.reduce(mul, children) if p._kind == _KIND_PRODUCT else _make_sum(children)
 
 
 def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:

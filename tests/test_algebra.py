@@ -498,9 +498,13 @@ class TestHashConsing:
         lazy(monkeypatch)
         # no certificate: the count expands, once
         s = add(mul(P("a + b"), P("a + b")), P("a a + c"))
+        before = set(s._cache)
         assert not s.is_explicit and s.length() == 4
+        (key,) = set(s._cache) - before  # where the count is memoized
+        ren = s.rename({"a": "x"})
+        assert ren._cache[key] == 4
         monkeypatch.setattr(algebra, "EXPANSION_CAP", 0)
-        assert s.rename({"a": "x"}).length() == 4
+        assert ren.length() == 4
 
 
 class TestEquality:

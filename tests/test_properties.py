@@ -319,7 +319,8 @@ substitutions = st.dictionaries(st.sampled_from(LETTERS[:3]), images, max_size=3
 
 def fold(m, p):
     """The substitution of an explicit p, one node per letter through mul
-    and add: the reference for its value."""
+    and add: the reference for both the value and its explicit/symbolic
+    kind."""
     acc = Poly.zero()
     for w in p.words():
         img = Poly.one()
@@ -327,13 +328,6 @@ def fold(m, p):
             img = mul(img, m(c))
         acc = add(acc, img)
     return acc
-
-
-def summed(m, p):
-    """The substitution of an explicit p as one _make_sum of its words'
-    images, each multiplied out one letter at a time through mul: the
-    reference for the node itself, so for its explicit/symbolic kind."""
-    return algebra._make_sum([functools.reduce(mul, map(m, w), Poly.one()) for w in p.words()])
 
 
 def substituted(m, words):
@@ -351,10 +345,9 @@ def assert_substitution_matches(m, p):
     got = m.apply(p)
     with patch.object(AlgebraMap, "_apply_words", fold):
         want = m.apply(p)
-    with patch.object(AlgebraMap, "_apply_words", summed):
-        node = m.apply(p)
     assert got.words() == substituted(m, p.words())
-    assert got._token == node._token  # the same node
+    assert got.is_explicit == want.is_explicit
+    assert got._token == want._token  # the fold's very node
     assert got == want
 
 
@@ -398,6 +391,23 @@ class TestSubstitution:
         assert next(algebra._SERIALS) - before - 1 <= 6
         assert got.words() == substituted(m, p.words())
         assert got == fold(m, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(images, max_size=8))
+    def test_one_sum_is_the_fold_of_add(self, terms):
+        want = functools.reduce(add, terms, Poly.zero())
+        assert algebra._make_sum(terms)._token == want._token  # the very node
+
+    def test_one_sum_keeps_the_folds_kind(self):
+        # a lone term is kept as it is, even a sum whose terms would merge
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            lone = add(Poly.one(), Poly.gen("a"))
+        assert algebra._make_sum([Poly.zero(), lone]) is lone
+        # 33 and 32 words pass LAZY_THRESHOLD = 64; once the 8 words have
+        # cancelled 8 of the 33, the fold's next step merges the 32
+        terms = [first_words(33), first_words(32), first_words(8), Poly.one()]
+        got = algebra._make_sum(terms)
+        assert got.is_explicit and got == functools.reduce(add, terms)
 
 
 # names that are prefixes of one another, with each kind of character a
