@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import sys
 import weakref
@@ -324,16 +325,7 @@ class Poly:
     def _expanded(self) -> frozenset[Word]:
         # below a node that passed the cap, every bound is smaller
         parts = [c._words if c._kind == _KIND_EXPLICIT else c._expanded() for c in self._children]
-        if self._kind == _KIND_SUM:
-            acc: set[Word] = set()
-            for words in parts:
-                acc ^= words
-            return frozenset(acc)
-        if self._free:  # no two pairs give the same word
-            a, b = parts
-            # copied from a set, the frozenset's table fits its size
-            return frozenset({u + v for u in a for v in b})
-        return _concat(*parts)
+        return frozenset(_cancelled(self, parts))
 
     def words(self) -> frozenset[Word]:
         """Explicit word set (materializes; may raise ExpansionTooLarge)."""
@@ -523,6 +515,21 @@ class _Make:
 _MAKE = _Make()
 
 
+def _cancelled(p: Poly, parts: list) -> Iterable:
+    """The distinct words of composite p from its children's, in any
+    encoding of words that + concatenates: a sum adds them mod 2, a product
+    concatenates them pairwise, reduced mod 2 unless certified."""
+    if p._kind == _KIND_SUM:
+        acc: set = set()
+        for words in parts:
+            acc.symmetric_difference_update(words)
+        return acc
+    a, b = parts
+    if p._free:  # no two pairs give the same word: listed in the parts' order
+        return [u + v for u in a for v in b]
+    return _concat(a, b)
+
+
 def _concat(a: frozenset[Word], b: frozenset[Word]) -> frozenset[Word]:
     """All concatenations u v, reduced mod 2."""
     acc: set[Word] = set()
@@ -574,8 +581,8 @@ def _node(kind: str, children: tuple[Poly, ...]) -> Poly:
 def _rebuild(p: Poly, letters, leaf, node) -> Poly:
     """Map the DAG under p bottom-up from an explicit stack, each shared node
     once and after its children.  Subterms that use none of `letters` are
-    kept; explicit ones go through leaf(q), composite ones through node(q,
-    mapped children)."""
+    kept (with `letters` None, none is); explicit ones go through leaf(q),
+    composite ones through node(q, mapped children)."""
     done: dict = {}
     stack = [(p, False)]
     while stack:
@@ -583,7 +590,7 @@ def _rebuild(p: Poly, letters, leaf, node) -> Poly:
         if ready:
             done[q._token] = node(q, [done[c._token] for c in q._children])
         elif q._token not in done:
-            if q.alphabet().isdisjoint(letters):
+            if letters is not None and q.alphabet().isdisjoint(letters):
                 done[q._token] = q
             elif q._kind == _KIND_EXPLICIT:
                 done[q._token] = leaf(q)
@@ -1023,22 +1030,31 @@ def poly_from_str(text: str) -> Poly:
         return _ZERO
     if not text:
         raise AlgebraError("empty polynomial string (write '0' for zero)")
-    return Poly.from_words(_terms(text))
+    words = frozenset(_terms(text))
+    if len(words) <= text.count("+"):  # a word repeats: cancel in pairs
+        return Poly.from_words(_terms(text))
+    return Poly._explicit(words)
 
 
-def _terms(text: str) -> Iterator[Sequence[str]]:
+def _terms(text: str) -> Iterator[Word]:
     """The words of a nonzero polynomial string one at a time, in reading
-    order; their letters are checked by Poly.from_words."""
-    for term in text.split("+"):
-        letters = term.split()
-        if not letters:
-            raise AlgebraError(f"malformed polynomial string: {text!r}")
-        if letters == ["1"]:
-            yield EMPTY_WORD
-        elif letters == ["0"]:
-            raise AlgebraError("'0' is only valid as the whole polynomial")
-        else:
-            yield letters
+    order, their letters checked.  The text is split a slice of about 16 K
+    characters at a time, each ending at a `+`: no list of all its terms."""
+    known = _CHECKED.get
+    start, end = 0, len(text)
+    while start <= end:
+        stop = text.find("+", start + 16384)
+        stop = end if stop < 0 else stop
+        for letters in map(str.split, text[start:stop].split("+")):
+            word = tuple(map(known, letters))
+            if None in word or not word:  # a new letter, 1, 0, or none
+                if not letters:
+                    raise AlgebraError(f"malformed polynomial string: {text!r}")
+                if letters == ["0"]:
+                    raise AlgebraError("'0' is only valid as the whole polynomial")
+                word = EMPTY_WORD if letters == ["1"] else tuple(map(check_name, letters))
+            yield word
+        start = stop + 1
 
 
 def word_to_str(w: Word) -> str:
@@ -1046,5 +1062,36 @@ def word_to_str(w: Word) -> str:
 
 
 def poly_to_str(p: Poly) -> str:
-    """Canonical textual form: words ordered by length then lexicographically."""
-    return " + ".join(map(word_to_str, p.canonical_words())) or "0"
+    """Canonical textual form: words in canonical_words order.  Each word is
+    joined once, each letter after a space, so + concatenates joined words as
+    it does tuples: nodes below p are reduced by _cancelled, a sum p by
+    sorting (equal words are neighbours).  Joined words sort as tuples do,
+    and a stable sort on the spaces orders them by length.  Explicit words
+    are sorted first, so a certified product lists its words in sorted runs."""
+    if p._kind != _KIND_EXPLICIT and p.size_bound() > EXPANSION_CAP:
+        raise ExpansionTooLarge(p._kind, p.size_bound(), EXPANSION_CAP, "canonical_words")
+
+    def node(q: Poly, parts: list) -> Iterable[str]:
+        if q is p and q._kind == _KIND_SUM:  # reduced below
+            return itertools.chain.from_iterable(parts)
+        return _cancelled(q, parts)
+
+    ws = sorted(_rebuild(p, None, lambda q: sorted(" ".join(("", *w)) for w in q._words), node))
+    ws = _odd_runs(ws)
+    if not ws:
+        return "0"
+    ws.sort(key=operator.methodcaller("count", " "))
+    ws[0] = ws[0][1:] or "1"  # the first word's space, or the empty word
+    return " +".join(ws)
+
+
+def _odd_runs(ws: list[str]) -> list[str]:
+    """The sorted list without its equal neighbours in pairs: each word
+    kept once when its multiplicity is odd."""
+    out, start = [], 0
+    equal = map(operator.eq, ws, itertools.islice(ws, 1, None))
+    for i in itertools.compress(itertools.count(), equal):  # ws[i] == ws[i + 1]
+        if i >= start:  # neither is dropped already
+            out += ws[start:i]
+            start = i + 2
+    return out + ws[start:] if start else ws

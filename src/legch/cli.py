@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -36,8 +37,11 @@ from .verify import CRITERIA
 AUDIT_CAP = 200_000
 
 
-def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+# The canonical form of every document: sorted keys, indent 1, then "\n".
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1)
+# Longest piece of text encoded to bytes at once: a document's largest
+# chunk is one polynomial string, as long as the document.
+_PIECE = 1 << 16
 
 
 class _Run:
@@ -64,15 +68,21 @@ class _Run:
         return json.loads(text)
 
     def emit(self, args, data) -> None:
-        text = _dump(data)
+        """Writes the canonical document chunk by chunk, hashing the bytes
+        written to a file as they go: the whole text is never held."""
+        chunks = itertools.chain(_ENCODER.iterencode(data), "\n")
         path = getattr(args, "emit", None)
-        if path:
-            raw = text.encode()
-            with open(path, "wb") as fh:
-                fh.write(raw)
-            self.outputs[path] = hashlib.sha256(raw).hexdigest()
-        else:
-            sys.stdout.write(text)
+        if not path:
+            sys.stdout.writelines(chunks)
+            return
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                for i in range(0, len(chunk), _PIECE):
+                    raw = chunk[i : i + _PIECE].encode()
+                    fh.write(raw)
+                    digest.update(raw)
+        self.outputs[path] = digest.hexdigest()
 
     def write_manifest(self, args) -> None:
         path = getattr(args, "manifest", None)
@@ -87,7 +97,7 @@ class _Run:
             "wall_time_s": round(time.perf_counter() - self.start, 6),
         }
         with open(path, "w") as fh:
-            fh.write(_dump(manifest))
+            fh.write(_ENCODER.encode(manifest) + "\n")
 
 
 def cmd_build(run: _Run, args) -> int:

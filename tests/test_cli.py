@@ -1,14 +1,18 @@
 """End-to-end tests for the `legch` command-line front end."""
 
+import argparse
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from legch import cli
+from legch import algebra, cli
 from legch.algebra import poly_to_str
+from legch.builders import connect_sum, tangle_from_dict
 from legch.cli import main
+from legch.dga import dga_from_dict, dga_to_dict
 from legch.moves import kalman_monodromy
 from legch.obstruction import family_dga
 
@@ -165,6 +169,87 @@ class TestPipeline:
         status, out, _ = run_cli(capsys, "tangle", "-")
         assert status == 0
         assert json.loads(out)["schema"] == "tangle.v1"
+
+
+# sha256 of the n = 7 quick start's documents, each byte-identical under
+# every hash seed: the canonical form of docs/schemas.md
+QUICK_START_7 = {
+    "t1.json": "a928b358ad5d4855d11b52d05ac5459e6036a4d52f16302cd5919387697f8ffd",
+    "sum.json": "48fcd09ad79511d7c9061d393fa4224b0fc061f7efc761a18414bc40581a50a6",
+    "classify.json": "fafd9b4d4f3201049d228bf95632bd95732e62818caf3af231faeccfe8fe6198",
+}
+
+
+@pytest.fixture(scope="module")
+def quick_start_7(tmp_path_factory):
+    """A directory with the README quick start at n = 7, each step run with
+    a manifest: knot, the tangles k1 and k2, their sum, its classification."""
+    path = tmp_path_factory.mktemp("quick_start_7")
+    steps = [
+        ["build", "torus", "--n", "7", "--emit", "knot.json"],
+        ["tangle", "knot.json", "--prefix", "k1", "--emit", "t1.json"],
+        ["tangle", "knot.json", "--prefix", "k2", "--emit", "t2.json"],
+        ["sum", "t1.json", "t2.json", "--emit", "sum.json"],
+        ["classify", "sum.json", "--emit", "classify.json"],
+    ]
+    for argv in steps:
+        argv = [str(path / a) if a.endswith(".json") else a for a in argv]
+        manifest = path / f"{argv[0]}.manifest.json"
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        emitted = argv[-1]
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert outputs == {emitted: sha256((path / emitted).read_bytes())}
+    return path
+
+
+class TestStreamedDocuments:
+    def test_quick_start_7_bytes_are_pinned(self, capsys, quick_start_7):
+        for name, digest in QUICK_START_7.items():
+            assert sha256((quick_start_7 / name).read_bytes()) == digest
+        # the same bytes go to stdout without --emit
+        for argv, name in (
+            (["sum", "t1.json", "t2.json"], "sum.json"),
+            (["classify", "sum.json"], "classify.json"),
+        ):
+            argv = [str(quick_start_7 / a) if a.endswith(".json") else a for a in argv]
+            status, out, _ = run_cli(capsys, *argv)
+            assert status == 0
+            assert out.encode() == (quick_start_7 / name).read_bytes()
+
+    def test_failed_sum_leaves_no_document(self, capsys, tmp_path, monkeypatch, quick_start_7):
+        monkeypatch.setattr(algebra, "EXPANSION_CAP", 3)
+        out_path = tmp_path / "capped.json"
+        status, out, err = run_cli(
+            capsys, "sum", str(quick_start_7 / "t1.json"), str(quick_start_7 / "t2.json"),
+            "--emit", str(out_path),
+        )
+        assert status == 1 and not out
+        assert err == "error: canonical_words: expansion bound 31330 of a sum node exceeds cap 3\n"
+        assert not out_path.exists()
+
+    def test_document_memory(self, tmp_path, quick_start_7):
+        # tracemalloc peaks of writing the n = 7 sum, about 6.1 MB (11.1 MB
+        # when its words were expanded as tuples and the text built whole),
+        # and of reading it back, about 8.7 MB (12.3 MB with a list of all
+        # terms and a word set copied into a frozenset)
+        run = cli._Run([])
+        tangles = [tangle_from_dict(run.read(str(quick_start_7 / f"t{i}.json"))) for i in (1, 2)]
+        dga = connect_sum(tangles)
+        args = argparse.Namespace(emit=str(tmp_path / "sum.json"))
+        tracemalloc.start()
+        try:
+            run.emit(args, dga_to_dict(dga))
+            _, written = tracemalloc.get_traced_memory()
+            del dga, tangles  # and whatever they keep
+            tracemalloc.reset_peak()
+            kept, _ = tracemalloc.get_traced_memory()
+            dga_from_dict(run.read(args.emit))
+            read = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert sha256((tmp_path / "sum.json").read_bytes()) == QUICK_START_7["sum.json"]
+        assert written < 9_000_000
+        assert read < 10_500_000
 
 
 def script_doc():

@@ -3,15 +3,17 @@
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from legch import algebra
 from legch.algebra import (
+    AlgebraError,
     AlgebraMap,
     Poly,
     add,
@@ -21,6 +23,7 @@ from legch.algebra import (
     poly_to_str,
     unsafe_disjoint_sum,
     unsafe_injective_product,
+    word_to_str,
 )
 from legch.dga import Dga, Generator, check_dga, degree_from_rotation, shrink
 
@@ -417,6 +420,80 @@ prefix_words = st.lists(st.sampled_from(PREFIX_NAMES), max_size=3).map(tuple)
 prefix_polys = st.lists(prefix_words, max_size=6).map(lambda ws: Poly.from_words(ws))
 
 
+def canonical_text(p):
+    """The text of p joined from canonical_words: what poly_to_str writes."""
+    return " + ".join(map(word_to_str, p.canonical_words())) or "0"
+
+
+def certified(tree):
+    with patch.object(algebra, "LAZY_THRESHOLD", 0):
+        return build(tree, namespaced(itertools.count()))
+
+
+def cancelling(tree, p):
+    """p, as a sum of the lazy value of tree and an explicit term: the
+    words of the lazy value cancel in the top sum."""
+    q = lazily(tree)
+    with patch.object(algebra, "LAZY_THRESHOLD", 0):
+        return add(q, Poly.from_words(q.expand() ^ p.expand()))
+
+
+# explicit values, the unit, and values built lazily: uncertified products,
+# sums whose terms cancel, certified products and sums, and products and
+# sums with the unit as a term or a factor
+written = st.one_of(
+    polys,
+    prefix_polys,
+    st.just(Poly.one()),
+    lazy_trees.map(lazily),
+    certified_trees.map(certified),
+    st.tuples(st.sampled_from((add, mul, cancel)), lazy_trees, st.just([()])).map(lazily),
+    st.tuples(lazy_trees, polys).map(lambda t: cancelling(*t)),
+)
+
+
+def split_reader(text):
+    """poly_from_str as it read a text split at every `+` at once, its words
+    checked and cancelled by Poly.from_words: the reference for the words
+    and the errors of the streamed reader."""
+
+    def terms():
+        for term in text.split("+"):
+            letters = term.split()
+            if not letters:
+                raise AlgebraError(f"malformed polynomial string: {text!r}")
+            if letters == ["0"]:
+                raise AlgebraError("'0' is only valid as the whole polynomial")
+            yield () if letters == ["1"] else letters
+
+    text = text.strip()
+    if text == "0":
+        return Poly.zero()
+    if not text:
+        raise AlgebraError("empty polynomial string (write '0' for zero)")
+    return Poly.from_words(terms())
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+# texts of terms that repeat, with irregular spacing, and now and then an
+# empty term, an inner 0, an invalid name or a unit beside a letter
+term_texts = st.one_of(
+    st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3).map(" ".join),
+    st.just("1"),
+    st.sampled_from(("", "0", "b!", "1 a", "  ")),
+)
+gaps = st.sampled_from(("", " ", "  ", "\t", "\n "))
+poly_texts = st.tuples(
+    st.lists(st.tuples(term_texts, st.integers(1, 3), gaps), min_size=1, max_size=6), gaps
+).map(lambda t: "+".join(f"{g}{term}{g}" for term, n, g in t[0] for _ in range(n)) + t[1])
+
+
 class TestSerialization:
     @given(st.one_of(polys, prefix_polys))
     def test_round_trip(self, p):
@@ -427,31 +504,48 @@ class TestSerialization:
     def test_canonical(self, p):
         assert poly_to_str(poly_from_str(poly_to_str(p))) == poly_to_str(p)
 
+    @settings(deadline=None)
+    @given(written)
+    def test_writer_matches_canonical_words(self, p):
+        assert poly_to_str(p) == canonical_text(p)
+        assert poly_from_str(poly_to_str(p)) == p
 
-heights = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(64))
-factors = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(1))
+    @example("a+b")
+    @example("  a  b +1 ")
+    @example("a + a + 1 + a")
+    @example("a + b! + + 0")
+    @example("a + + b! + 0")
+    @example(" + b")
+    @example("0")
+    @given(poly_texts)
+    def test_reader_matches_split_reader(self, text):
+        # the same words, repeated ones cancelled in pairs, or the same
+        # error for the first bad term in reading order
+        assert outcome(poly_from_str, text) == outcome(split_reader, text)
 
+    def test_reader_past_the_first_slice(self):
+        # a text split a slice of 16 K characters at a time: terms around
+        # each slice's end, repeated and bad ones, read where they stand
+        terms = [f"a{i}" for i in range(6000)]
+        ends = (16384, 32768)  # about where the first two slices end
+        for plus in (" + ", "+"):
+            starts = itertools.accumulate((len(t) + len(plus) for t in terms), initial=0)
+            near = [k for k, at in enumerate(starts) if any(abs(at - e) < 20 for e in ends)]
+            assert len(near) >= 4
+            for k in (0, *near, len(terms)):
+                for bad in ("a7", "", "b!"):
+                    text = plus.join([*terms[:k], bad, *terms[k:]])
+                    assert outcome(poly_from_str, text) == outcome(split_reader, text)
 
-class TestShrink:
-    @given(heights, heights, factors)
-    def test_preserves_validity(self, hx, hy, u):
-        dga = Dga(
-            (Generator("x", 1, hy + hx), Generator("y", 0, hy)),
-            {"x": Poly.gen("y")},
-            True,
-        )
-        assert check_dga(dga).ok
-        assert check_dga(shrink(dga, u)).ok
-
-    @given(heights, factors, factors)
-    def test_composes_multiplicatively(self, h, u, v):
-        dga = Dga((Generator("x", 0, h),), {}, True)
-        assert shrink(shrink(dga, u), v) == shrink(dga, u * v)
-
-
-class TestRotationDegrees:
-    @given(st.integers(min_value=-50, max_value=50))
-    def test_inverse(self, k):
-        r = Fraction(2 * k + 1, 4)
-        d = degree_from_rotation(r)
-        assert r == Fraction(-2 * d - 1, 4)
+    def test_deep_product_chain(self):
+        # a left fold of products deeper than the recursion limit: walked
+        # from an explicit stack, never once per DAG level
+        depth = sys.getrecursionlimit() + 100
+        letters = [f"y{i}" for i in range(depth)]
+        with patch.object(algebra, "LAZY_THRESHOLD", 0):
+            chain = functools.reduce(mul, [*map(Poly.gen, letters), poly_from_str("1 + x")])
+            top = add(chain, Poly.one())
+        assert not chain.is_explicit and chain.size_bound() == 2
+        word = " ".join(letters)
+        assert poly_to_str(chain) == f"{word} + {word} x" == canonical_text(chain)
+        assert poly_to_str(top) == f"1 + {word} + {word} x"
