@@ -549,3 +549,32 @@ class TestSerialization:
         word = " ".join(letters)
         assert poly_to_str(chain) == f"{word} + {word} x" == canonical_text(chain)
         assert poly_to_str(top) == f"1 + {word} + {word} x"
+
+
+heights = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(64))
+factors = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(1))
+
+
+class TestShrink:
+    @given(heights, heights, factors)
+    def test_preserves_validity(self, hx, hy, u):
+        dga = Dga(
+            (Generator("x", 1, hy + hx), Generator("y", 0, hy)),
+            {"x": Poly.gen("y")},
+            True,
+        )
+        assert check_dga(dga).ok
+        assert check_dga(shrink(dga, u)).ok
+
+    @given(heights, factors, factors)
+    def test_composes_multiplicatively(self, h, u, v):
+        dga = Dga((Generator("x", 0, h),), {}, True)
+        assert shrink(shrink(dga, u), v) == shrink(dga, u * v)
+
+
+class TestRotationDegrees:
+    @given(st.integers(min_value=-50, max_value=50))
+    def test_inverse(self, k):
+        r = Fraction(2 * k + 1, 4)
+        d = degree_from_rotation(r)
+        assert r == Fraction(-2 * d - 1, 4)
