@@ -5,14 +5,14 @@ symmetric difference (characteristic 2), multiplication is pairwise word
 concatenation reduced mod 2.  The set representation is canonical, so every
 value is automatically a minimal expression.
 
-Small polynomials are stored as explicit word sets.  Products and sums whose
+Small polynomials are stored as explicit word sets.  Products whose
 expansion would be enormous (connected-sum closure differentials and iterated
-monodromy images grow multiplicatively) are kept symbolic.  Symbolic nodes
-denote exactly the same word set; every query either answers through a
-certificate that rules out cancellation, or falls back to materialization,
-or raises ExpansionTooLarge.  Equality never expands: it compares linear
-representations of the two values (see _Rep).  No query ever returns an
-approximate value.
+monodromy images grow multiplicatively) are kept symbolic, and so are sums
+with a symbolic term.  Symbolic nodes denote exactly the same word set; every
+query either answers through a certificate that rules out cancellation, or
+falls back to materialization, or raises ExpansionTooLarge.  Equality never
+expands: it compares linear representations of the two values (see _Rep).
+No query ever returns an approximate value.
 
 Word statistics: length() is the number of words, max_count(g) the maximal
 multiplicity of a generator within a single word, tau(g) the number of words
@@ -33,12 +33,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 Word = tuple[str, ...]
 EMPTY_WORD: Word = ()
 
-# Explicit values are multiplied or added into an explicit value of at most
-# this many words; past it the result stays symbolic.  A product with a
-# symbolic factor is always a product node, however small its size bound:
-# expanding it would mix the factors' letters into explicit words that every
-# later substitution rewrites one letter at a time, instead of composing
-# structurally.
+# Explicit values are multiplied into an explicit value of at most this many
+# words; past it the product stays symbolic (sums are not bounded: see
+# _make_sum).  A product with a symbolic factor is always a product node,
+# however small its size bound: expanding it would mix the factors' letters
+# into explicit words that every later substitution rewrites one letter at a
+# time, instead of composing structurally.
 LAZY_THRESHOLD = 64
 # Hard cap for on-demand materialization.
 EXPANSION_CAP = 5_000_000
@@ -365,12 +365,11 @@ class Poly:
         product = self._kind == _KIND_PRODUCT
         if self._free or not product and _pairwise_disjoint(terms):
             return (math.prod if product else sum)(t.length() for t in terms)
-        explicit = [t for t in terms if t._kind == _KIND_EXPLICIT]
-        if not product and len(explicit) == len(terms) - 1:
-            # one symbolic term: count the explicit part's words against it
-            (big,) = (t for t in terms if t._kind != _KIND_EXPLICIT)
-            words = functools.reduce(frozenset.symmetric_difference, (t._words for t in explicit))
-            return big.length() + sum(-1 if big.contains(w) else 1 for w in words)
+        if not product and len(terms) == 2 and terms[0]._kind == _KIND_EXPLICIT:
+            # one explicit term (listed first, see _make_sum) and one symbolic
+            # term: count the explicit words against the symbolic one
+            small, big = terms
+            return big.length() + sum(-1 if big.contains(w) else 1 for w in small._words)
         return len(self.expand())
 
     def max_count(self, g: str) -> int:
@@ -618,11 +617,7 @@ def _certainly_disjoint(a: Poly, b: Poly) -> bool:
     if ahi < blo or bhi < alo:
         return True
     # a letter every word of one side carries, absent from the other side
-    if not a.mandatory() <= b.alphabet() or not b.mandatory() <= a.alphabet():
-        return True
-    if a.is_explicit and b.is_explicit:
-        return a._words.isdisjoint(b._words)
-    return False
+    return not a.mandatory() <= b.alphabet() or not b.mandatory() <= a.alphabet()
 
 
 def _pair_injective(a: Poly, g: Poly) -> bool:
@@ -642,46 +637,26 @@ def _pair_injective(a: Poly, g: Poly) -> bool:
 
 
 def _make_sum(terms: Iterable[Poly]) -> Poly:
-    """The node of the fold acc = add(acc, t) over terms, without its
-    intermediate sums: the running sum is kept flat, its explicit terms
-    merged greedily up to LAZY_THRESHOLD words, the others kept by token.
-    As in add, a zero leaves the other operand as it is, and each step
-    flattens the running sum again, so an explicit term that did not fit is
-    tried again.  (The fold differs where it meets one of its intermediate
-    sums interned already with a certificate.)"""
+    """The one sum rule, which depends only on the terms: one nonzero term
+    is returned as it is; otherwise uncertified sums are flattened (a
+    certified-disjoint sum stays one term, keeping its certificate), all
+    explicit terms are XORed into one explicit term, listed first, and
+    identical symbolic terms cancel in pairs, the others ordered by token,
+    newest first.  The rule is associative, so add, which uses it, folds to
+    the same node (except where the fold meets one of its intermediate sums
+    interned already with a certificate)."""
+    terms = [t for t in terms if t is not _ZERO]
+    if len(terms) == 1:
+        return terms[0]
     explicit: set[Word] = set()
     symbolic: dict = {}
-    spilled = 0  # explicit terms among the symbolic ones
-    lone = None  # the running sum, when it is one term as it is
     for t in terms:
-        if t is _ZERO:
-            continue
-        if lone is None and not explicit and not symbolic:
-            lone = t
-            continue
-        # a certified-disjoint sum stays one term, keeping its certificate
-        subs = t._children if t._kind == _KIND_SUM and not t._free else (t,)
-        if lone is not None:
-            first = lone._children if lone._kind == _KIND_SUM and not lone._free else (lone,)
-            subs, lone = (*first, *subs), None
-        elif spilled:
-            for s in [s for s in symbolic.values() if s._kind == _KIND_EXPLICIT]:
-                if len(s._words) + len(explicit) <= LAZY_THRESHOLD:
-                    explicit ^= s._words
-                    del symbolic[s._token]
-                    spilled -= 1
-        for s in subs:
-            if s._kind == _KIND_EXPLICIT and len(s._words) + len(explicit) <= LAZY_THRESHOLD:
+        for s in t._children if t._kind == _KIND_SUM and not t._free else (t,):
+            if s._kind == _KIND_EXPLICIT:
                 explicit ^= s._words
-            elif s._token in symbolic:
-                del symbolic[s._token]  # identical terms cancel in pairs
-                spilled -= s._kind == _KIND_EXPLICIT
-            else:
+            elif symbolic.pop(s._token, None) is None:  # identical terms cancel in pairs
                 symbolic[s._token] = s
-                spilled += s._kind == _KIND_EXPLICIT
-    if lone is not None:
-        return lone
-    flat = list(symbolic.values())
+    flat = [symbolic[k] for k in sorted(symbolic, reverse=True)]
     if explicit:
         flat.insert(0, Poly._explicit(frozenset(explicit)))
     if not flat:
@@ -856,16 +831,14 @@ def _transposed(rep: _Rep) -> _Rep:
 
 
 def add(p: Poly, q: Poly) -> Poly:
-    """Sum in characteristic 2: symmetric difference of word sets."""
+    """Sum in characteristic 2: symmetric difference of word sets.  Two
+    explicit values add to an explicit value, whatever their size; the node
+    is _make_sum's."""
     if p is _ZERO:
         return q
     if q is _ZERO:
         return p
-    if (
-        p._kind == _KIND_EXPLICIT
-        and q._kind == _KIND_EXPLICIT
-        and len(p._words) + len(q._words) <= LAZY_THRESHOLD
-    ):
+    if p._kind == q._kind == _KIND_EXPLICIT:
         return Poly._explicit(p._words ^ q._words)
     return _make_sum([p, q])
 
@@ -911,31 +884,23 @@ class AlgebraMap:
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:
-        """The image of an explicit p: the fold acc = add(acc, image of w)
-        over its words w, the image of c1..ck being mul(..mul(1, self(c1))..,
+        """The image of an explicit p: the sum of the images of its words w,
+        the image of c1..ck being mul(..mul(1, self(c1))..,
         self(ck)).  Each word is walked once (_word_image): a run of letters
-        the map does not move is copied as one slice.  While every image is
-        explicit and fits beside the words collected so far, the fold's value
-        is their one explicit node, so they are collected in one set; from
-        the first word that does not, _make_sum builds the fold's node."""
+        the map does not move is copied as one slice.  The explicit images
+        are collected in one set, and _make_sum adds the product nodes to
+        it, so the node is that of a fold of add over the images in any
+        order."""
         images = self.assignments
-        words = iter(p._words)
         acc: set[Word] = set()
-        for w in words:
+        symbolic = []
+        for w in p._words:
             img = _word_image(w, images)
-            if img is None or acc and img and len(acc) + len(img) > LAZY_THRESHOLD:
-                rest = (self._word_node(v, _word_image(v, images)) for v in words)
-                return _make_sum(
-                    itertools.chain((Poly._explicit(frozenset(acc)), self._word_node(w, img)), rest)
-                )
-            acc.symmetric_difference_update(img)
-        return Poly._explicit(frozenset(acc))
-
-    def _word_node(self, w: Word, img: Iterable[Word] | None) -> Poly:
-        """The node of the image of w, given _word_image(w)."""
-        if img is not None:
-            return Poly._explicit(frozenset(img))
-        return functools.reduce(mul, map(self, w), _ONE)
+            if img is None:
+                symbolic.append(functools.reduce(mul, map(self, w), _ONE))
+            else:
+                acc.symmetric_difference_update(img)
+        return _make_sum([Poly._explicit(frozenset(acc)), *symbolic])
 
     def compose(self, inner: "AlgebraMap") -> "AlgebraMap":
         """self after inner: g -> self(inner(g)).  A generator inner fixes

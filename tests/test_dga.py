@@ -276,7 +276,7 @@ class TestInvariants:
         with pytest.raises(UnknownGenerator, match=r"\['y', 'z'\]"):
             Dga((Generator("x", 1),), {"x": image}, True)
         # a letter that cancelled out of every word is not mentioned
-        cancelled = add(P("x + y"), P("y"))
+        cancelled = add(mul(P("1 + y"), P("x")), mul(P("y"), P("x")))
         assert "y" in cancelled.alphabet()
         assert Dga((Generator("x", 1),), {"x": cancelled}, True).d("x") == P("x")
 

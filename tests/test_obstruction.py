@@ -154,7 +154,7 @@ class TestTauValues:
         # a product with a symbolic factor stays a node, so each power adds a
         # few composite nodes to the one before it; expanding small products
         # made the fly 3 create 90 nodes at j = 3 and 2 053 at j = 4.  The
-        # count varies by a few with the hash seed's set orders.
+        # powers create 10, 6 and 6 nodes, whatever the hash seed.
         _, fly_word = family_dga(fly)
         kept = []
         for j in (3, 4, 5):

@@ -362,8 +362,8 @@ class TestSubstitution:
         assert_substitution_matches(m, p)
 
     # a and b go to the first words over a and b: products of sizes 64
-    # and 72, of 64 and 65 words by one word, sums of sizes 64 and 65, the
-    # unit times 65 words, and zero after 65 words
+    # and 72, of 64 and 65 words by one word, sums of 64 and 65 words
+    # (explicit either way), the unit times 65 words, and zero after 65 words
     @pytest.mark.parametrize(
         "sizes, text",
         [
@@ -402,15 +402,35 @@ class TestSubstitution:
         assert algebra._make_sum(terms)._token == want._token  # the very node
 
     def test_one_sum_keeps_the_folds_kind(self):
-        # a lone term is kept as it is, even a sum whose terms would merge
+        # a lone nonzero term is returned as it is, the very object
         with patch.object(algebra, "LAZY_THRESHOLD", 0):
             lone = add(Poly.one(), Poly.gen("a"))
         assert algebra._make_sum([Poly.zero(), lone]) is lone
-        # 33 and 32 words pass LAZY_THRESHOLD = 64; once the 8 words have
-        # cancelled 8 of the 33, the fold's next step merges the 32
+        # explicit terms make one explicit node, however many words they
+        # hold: LAZY_THRESHOLD bounds products only
         terms = [first_words(33), first_words(32), first_words(8), Poly.one()]
         got = algebra._make_sum(terms)
         assert got.is_explicit and got == functools.reduce(add, terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(images, max_size=6).flatmap(lambda t: st.tuples(st.just(t), st.permutations(t)))
+    )
+    @example(([first_words(65), first_words(64)], [first_words(64), first_words(65)]))
+    def test_one_sum_ignores_term_order(self, orders):
+        terms, shuffled = orders
+        want = algebra._make_sum(terms)  # kept alive: the interned node
+        assert algebra._make_sum(shuffled)._token == want._token
+        assert functools.reduce(add, shuffled, Poly.zero())._token == want._token
+
+    def test_one_sum_of_overlapping_word_sets(self):
+        # the first 40 words, the first 20 and the 41st to 70th: 50 words,
+        # one explicit node in every order of the three terms
+        later = Poly.from_words(first_words(70).expand() - first_words(40).expand())
+        want = Poly.from_words(first_words(70).expand() - first_words(20).expand())
+        for order in itertools.permutations([first_words(40), first_words(20), later]):
+            for got in (algebra._make_sum(order), functools.reduce(add, order)):
+                assert got.is_explicit and got.length() == 50 and got == want
 
 
 # names that are prefixes of one another, with each kind of character a
