@@ -880,7 +880,11 @@ class AlgebraMap:
 
     def apply(self, p: Poly) -> Poly:
         if p._kind == _KIND_EXPLICIT:
-            return p if p.alphabet().isdisjoint(self.assignments) else self._apply_words(p)
+            if p.alphabet().isdisjoint(self.assignments):
+                return p
+            if len(p._words) == 1 and len(w := next(iter(p._words))) == 1:
+                return self.assignments[w[0]]  # a moved letter: its image node
+            return self._apply_words(p)
         return _rebuild(p, self.assignments.keys(), self._apply_words, _apply_node)
 
     def _apply_words(self, p: Poly) -> Poly:

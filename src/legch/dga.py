@@ -20,7 +20,7 @@ from .algebra import (
     AlgebraMap,
     ExpansionTooLarge,
     Poly,
-    add,
+    _make_sum,
     check_name,
     poly_from_str,
     poly_to_str,
@@ -244,15 +244,14 @@ def _check_d_squared(dga: Dga, images, report: ValidationReport) -> None:
 
 
 def _leibniz(dga: Dga, p: Poly) -> Poly:
-    acc = Poly.zero()
-    for w in p.words():
-        for i, c in enumerate(w):
-            dc = dga.differential.get(c)
-            if dc is None:
-                continue
-            term = Poly.word(*w[:i]) * dc * Poly.word(*w[i + 1 :])
-            acc = add(acc, term)
-    return acc
+    """d(p) by the Leibniz rule on the words of p, its terms added in one
+    _make_sum pass: the node of the add fold, in time linear in the words."""
+    return _make_sum(
+        Poly.word(*w[:i]) * dc * Poly.word(*w[i + 1 :])
+        for w in p.words()
+        for i, c in enumerate(w)
+        if (dc := dga.differential.get(c)) is not None
+    )
 
 
 def _check_heights(dga: Dga, images, report: ValidationReport) -> None:

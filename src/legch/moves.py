@@ -2,7 +2,9 @@
 
 A script is an initial DGA plus an ordered list of typed move events.  Each
 event yields an algebra map (its holonomy) and the post-move DGA state; the
-script's monodromy is the composite of the holonomies.  The supported rules:
+script's monodromy is the composite of the holonomies, folded from the last
+event back after the events are checked in order (the same value as the
+front-to-back fold: composition is associative).  The supported rules:
 
   RII      births x, y; survivors map identically when their post-move
            differential vanishes or their height lies below h(y)
@@ -18,6 +20,7 @@ b3 to b1, and fixes every fly generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Union
 
@@ -180,14 +183,20 @@ def _steps(script: MoveScript):
 
 
 def run_script(script: MoveScript) -> Monodromy:
-    """Compose all event holonomies into an endomorphism of the initial DGA."""
+    """Compose all event holonomies into an endomorphism of the initial DGA.
+
+    The forward pass through the events checks every state; the composite
+    h_k ... h_1 is then folded from the last event back, so each event
+    evaluates the running map only on the letters it moves (one for RIIIb,
+    two for RIIInv, none for RII or RIIIa).  Composition is associative:
+    the value is that of the front-to-back fold."""
     state = script.initial
-    total = AlgebraMap.identity()
+    holonomies = []
     for _, h, state in _steps(script):
-        total = compose(h, total)
-    restricted = AlgebraMap(
-        {name: total(name) for name in script.initial.names if name in total.moved()}
-    )
+        holonomies.append(h)
+    total = functools.reduce(compose, reversed(holonomies), AlgebraMap.identity())
+    names = script.initial.names
+    restricted = AlgebraMap({g: img for g, img in total.assignments.items() if g in names})
     if script.mode == "verified":
         if state.names != script.initial.names:
             raise NotAnEndomorphism(

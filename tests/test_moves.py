@@ -313,6 +313,54 @@ class TestWindowScript:
         assert compose(second.map, first.map).normalized() == self.run(WINDOW_SCRIPT).map.normalized()
 
 
+# twelve events over five generators: two Relabels, and two RIIIb events
+# that substitute with the RII-born y before RIIInv sends y to a b
+LONG_SCRIPT = (
+    RIIIb("a", "b", "c"),
+    RII(Generator("x", 1), Generator("y", 0), {"x": P("y + a b")}),
+    RIIIb("c", "y", "d"),
+    Relabel({"a": "b", "b": "a"}),
+    RIIIb("e", "y", "a"),
+    RIIIb("d", "c", "e"),
+    RIIIa(),
+    RIIInv("x", "y"),
+    RIIIb("b", "e", "d"),
+    Relabel({"c": "d", "d": "e", "e": "c"}),
+    RIIIb("c", "a", "b"),
+    RIIIb("e", "d", "a"),
+)
+
+
+class TestBackToFrontFold:
+    def test_long_script(self):
+        script = MoveScript(degree_zero_dga("a", "b", "c", "d", "e"), LONG_SCRIPT, "verified")
+        mono = run_script(script).map
+        assert mono("b") == P("a")
+        assert mono("d") == P("e + a d + c d + b a d")
+        assert mono("e") == P("c + b a + a b a + a e c a + a a d c a + a e b a a + a a d b a a")
+
+    def test_running_map_applied_once_per_event(self, monkeypatch):
+        # k RIIIb events over five generators, none with a differential to
+        # rewrite: folded from the last event back, each earlier event
+        # applies the running map to the one image it moves, k - 1 times in
+        # all; folded front to back, each holonomy is applied to every
+        # image gathered so far, up to five.  Formal mode: the images grow
+        # doubly exponentially, and only the fold is counted
+        names = ("a", "b", "c", "d", "e")
+        k = 8
+        events = tuple(RIIIb(*(names[(i + s) % 5] for s in (0, 1, 3))) for i in range(k))
+        calls = []
+        apply = AlgebraMap.apply
+        monkeypatch.setattr(AlgebraMap, "apply", lambda m, p: calls.append(m) or apply(m, p))
+        run_script(MoveScript(degree_zero_dga(*names), events, "formal"))
+        assert len(calls) == k - 1
+        calls.clear()
+        total = AlgebraMap.identity()
+        for event in events:
+            total = compose(AlgebraMap({event.x: P(f"{event.x} + {event.z} {event.y}")}), total)
+        assert len(calls) == 1 + 2 + 3 + 4 + 5 * (k - 5)
+
+
 class TestFlyFixed:
     def test_riii_a_only(self):
         script = MoveScript(degree_zero_dga("f", "g"), (RIIIa(), RIIIa()), "verified")

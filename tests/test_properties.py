@@ -25,7 +25,8 @@ from legch.algebra import (
     unsafe_injective_product,
     word_to_str,
 )
-from legch.dga import Dga, Generator, check_dga, degree_from_rotation, shrink
+from legch.dga import Dga, Generator, _leibniz, check_dga, degree_from_rotation, shrink
+from legch.moves import RII, MoveScript, RIIInv, RIIIa, RIIIb, Relabel, _steps, run_script
 
 LETTERS = ("a", "b", "c", "d", "e")
 
@@ -431,6 +432,92 @@ class TestSubstitution:
         for order in itertools.permutations([first_words(40), first_words(20), later]):
             for got in (algebra._make_sum(order), functools.reduce(add, order)):
                 assert got.is_explicit and got.length() == 50 and got == want
+
+
+def leibniz_fold(dga, p):
+    """d(p) by the Leibniz rule, its terms folded through add one at a
+    time: the reference for _leibniz."""
+    acc = Poly.zero()
+    for w in p.words():
+        for i, c in enumerate(w):
+            dc = dga.differential.get(c)
+            if dc is not None:
+                acc = add(acc, Poly.word(*w[:i]) * dc * Poly.word(*w[i + 1 :]))
+    return acc
+
+
+class TestLeibniz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(LETTERS), images, max_size=5), st.one_of(polys, values))
+    def test_one_sum_is_the_add_fold(self, differential, p):
+        dga = Dga(tuple(Generator(c, 0) for c in LETTERS), differential, True)
+        got, want = _leibniz(dga, p), leibniz_fold(dga, p)
+        assert got == want
+        assert got.is_explicit == want.is_explicit
+
+
+@st.composite
+def move_scripts(draw):
+    """A script over the degree-0 generators a..e without differentials:
+    RIIIb events, Relabels, RIIIa and RII ... RIIInv windows, in which an
+    RIIIb event may substitute with the born y.  d(x) = y + w, and a
+    verified script keeps y out of w, so its window ends in a cancellation
+    and its images stay over a..e; a formal one may leave its last window
+    open."""
+    mode = draw(st.sampled_from(("verified", "formal")))
+    events, alive, window, w_letters = [], list(LETTERS), None, set()
+    budget = 5  # RIIIb events left: images grow doubly exponentially in a chain
+    for i in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("RIIIb", "RIIIb", "RIIIb", "Relabel", "RIIIa", "window")))
+        if kind == "RIIIb" and budget:
+            budget -= 1
+            a = draw(st.sampled_from(LETTERS))
+            pool = [n for n in alive if n != a]
+            if window and a in w_letters and mode == "verified":
+                pool.remove(window[1])
+            b, c = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+            if a in w_letters:
+                w_letters |= {b, c}
+            events.append(RIIIb(a, b, c))
+        elif kind in ("RIIIb", "RIIIa"):
+            events.append(RIIIa())
+        elif kind == "Relabel":
+            perm = dict(zip(LETTERS, draw(st.permutations(LETTERS))))
+            w_letters = {perm.get(n, n) for n in w_letters}
+            events.append(Relabel(perm))
+        elif window is None:
+            x, y = f"x{i}", f"y{i}"
+            w = draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=2))
+            dx = poly_from_str(f"{y} + {' '.join(w)}")
+            events.append(RII(Generator(x, 1), Generator(y, 0), {x: dx}))
+            window, w_letters = (x, y), set(w)
+            alive.append(y)
+        else:
+            events.append(RIIInv(*window))
+            alive.remove(window[1])
+            window, w_letters = None, set()
+    if window and (mode == "verified" or draw(st.booleans())):
+        events.append(RIIInv(*window))
+    initial = Dga(tuple(Generator(c, 0) for c in LETTERS), {}, True)
+    return MoveScript(initial, tuple(events), mode)
+
+
+def front_to_back(script):
+    """The composite of the script's holonomies folded from the first
+    event on, total = compose(h, total), and restricted to the initial
+    generators: the reference for run_script."""
+    total = AlgebraMap.identity()
+    for _, h, _ in _steps(script):
+        total = compose(h, total)
+    names = script.initial.names
+    return AlgebraMap({g: total(g) for g in names if g in total.moved()})
+
+
+class TestScriptFold:
+    @settings(max_examples=150, deadline=None)
+    @given(move_scripts())
+    def test_back_to_front_is_the_front_to_back_fold(self, script):
+        assert run_script(script).map == front_to_back(script)
 
 
 # names that are prefixes of one another, with each kind of character a
