@@ -4,6 +4,9 @@ Subcommands build torus-knot DGAs, extract tangles, form connected sums,
 classify even d-class membership, run move scripts, evaluate monodromy
 verdicts, and reproduce the acceptance tables.  All documents are schema-
 tagged JSON (dga.v1, tangle.v1, script.v1, verdict.v1); `-` reads stdin.
+`--manifest PATH` writes a manifest.v1 run record with the sha256 of every
+file read and written; the digests are taken only then, and the documents
+are the same with or without it.
 Exit status: 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import sys
@@ -45,13 +47,24 @@ _PIECE = 1 << 16
 
 
 class _Run:
-    """Collects input/output digests for the optional run manifest."""
+    """Collects input/output digests for the run manifest.  Digests are
+    taken only when a manifest is written: a plain run never loads
+    hashlib, nor OpenSSL with it."""
 
-    def __init__(self, argv):
+    def __init__(self, argv, manifest):
         self.argv = argv
+        self.manifest = manifest
         self.start = time.perf_counter()
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+
+    def _digest(self):
+        """A fresh sha256 when a manifest is written, else None."""
+        if not self.manifest:
+            return None
+        import hashlib
+
+        return hashlib.sha256()
 
     def read(self, path: str):
         if path == "-":
@@ -59,7 +72,10 @@ class _Run:
         else:
             with open(path, "rb") as fh:
                 raw = fh.read()
-        self.inputs[path] = hashlib.sha256(raw).hexdigest()
+        digest = self._digest()
+        if digest is not None:
+            digest.update(raw)
+            self.inputs[path] = digest.hexdigest()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -69,24 +85,26 @@ class _Run:
 
     def emit(self, args, data) -> None:
         """Writes the canonical document chunk by chunk, hashing the bytes
-        written to a file as they go: the whole text is never held."""
+        written to a file as they go when a manifest is written: the whole
+        text is never held."""
         chunks = itertools.chain(_ENCODER.iterencode(data), "\n")
         path = getattr(args, "emit", None)
         if not path:
             sys.stdout.writelines(chunks)
             return
-        digest = hashlib.sha256()
+        digest = self._digest()
         with open(path, "wb") as fh:
             for chunk in chunks:
                 for i in range(0, len(chunk), _PIECE):
                     raw = chunk[i : i + _PIECE].encode()
                     fh.write(raw)
-                    digest.update(raw)
-        self.outputs[path] = digest.hexdigest()
+                    if digest is not None:
+                        digest.update(raw)
+        if digest is not None:
+            self.outputs[path] = digest.hexdigest()
 
-    def write_manifest(self, args) -> None:
-        path = getattr(args, "manifest", None)
-        if not path:
+    def write_manifest(self) -> None:
+        if not self.manifest:
             return
         manifest = {
             "schema": "manifest.v1",
@@ -96,7 +114,7 @@ class _Run:
             "outputs": self.outputs,
             "wall_time_s": round(time.perf_counter() - self.start, 6),
         }
-        with open(path, "w") as fh:
+        with open(self.manifest, "w") as fh:
             fh.write(_ENCODER.encode(manifest) + "\n")
 
 
@@ -314,13 +332,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.fn is cmd_verify and args.emit and args.target != "fibonacci":
         parser.error("--emit applies only to `verify fibonacci`")
-    run = _Run(["legch"] + argv)
+    run = _Run(["legch"] + argv, args.manifest)
     try:
         status = args.fn(run, args)
     except (DgaError, AlgebraError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    run.write_manifest(args)
+    run.write_manifest()
     return status
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -129,16 +128,19 @@ class Dga:
 
     def word_degree_bounds(self, p: Poly) -> tuple[int, int]:
         """Bounds on the total degree of words of p (exact on explicit sets)."""
+        lo, hi = self._letter_degree_bounds(p)
+        if lo == hi or not p.is_explicit:
+            return (lo, hi)
+        degrees = [self.word_degree(w) for w in p.words()]
+        return (min(degrees), max(degrees))
+
+    def _letter_degree_bounds(self, p: Poly) -> tuple[int, int]:
+        """Bounds on the total degree of words of p from the count bounds of
+        its letters of nonzero degree: no word is walked."""
         index = self._index
         extra = _undeclared(p, self.names)
         if extra:
             raise UnknownGenerator(f"unknown generator {extra[0]!r}")
-        if p.is_explicit:
-            ws = p.words()
-            if not ws:
-                return (0, 0)
-            vals = [sum(index[c].degree for c in w) for w in ws]
-            return (min(vals), max(vals))
         lo = hi = 0
         nonzero = [c for c in p.alphabet() if c in index and index[c].degree != 0]
         for c in nonzero:
@@ -153,18 +155,25 @@ class Dga:
         return (lo, hi)
 
 
+def _fraction(value) -> Fraction:
+    """value as an exact Fraction.  fractions, and decimal with it, is
+    imported on first use: only heights and rotations need it."""
+    from fractions import Fraction
+
+    return Fraction(value)
+
+
 def degree_from_rotation(r: Fraction) -> int:
     """Degree of a crossing from its capping-path rotation number.
 
     The rotation takes quarter-odd values (2k+1)/4; the degree is the
-    integer -2r - 1/2.
+    integer -2r - 1/2 = -(k + 1).
     """
-    r = Fraction(r)
-    if (4 * r) % 2 == 0:
+    r = _fraction(r)
+    q = 4 * r
+    if q.denominator != 1 or q % 2 == 0:
         raise NotQuarterOdd(f"rotation {r} is not of the form (2k+1)/4")
-    value = -2 * r - Fraction(1, 2)
-    assert value.denominator == 1
-    return int(value)
+    return -(q.numerator + 1) // 2
 
 
 @dataclass
@@ -198,11 +207,12 @@ def check_dga(dga: Dga) -> ValidationReport:
 
 
 def _wrong_degrees(dga: Dga, image: Poly, target: int):
-    """(lo, hi, wrong): bounds on the word degrees of image, and its words
-    whose degree is not target as (word, degree) pairs.  wrong is None for
-    a symbolic image whose bounds are not exactly target; each caller has
-    its own rule for that case."""
-    lo, hi = dga.word_degree_bounds(image)
+    """(lo, hi, wrong): bounds on the word degrees of image from its
+    letters, and its words whose degree is not target as (word, degree)
+    pairs; the words are walked only when the bounds are not exactly
+    target.  wrong is None for a symbolic image whose bounds are not
+    exactly target; each caller has its own rule for that case."""
+    lo, hi = dga._letter_degree_bounds(image)
     if lo == hi == target:
         return lo, hi, []
     if not image.is_explicit:
@@ -266,7 +276,7 @@ def _check_heights(dga: Dga, images, report: ValidationReport) -> None:
             report.skipped.append(f"height check on {g.name}: expansion too large")
             continue
         for w in words:
-            total = sum((dga.generator(c).height for c in w), Fraction(0))
+            total = sum(dga.generator(c).height for c in w)
             if not g.height > total:
                 report.violations.append(
                     f"d({g.name}): word {word_to_str(w)} has total height "
@@ -276,7 +286,7 @@ def _check_heights(dga: Dga, images, report: ValidationReport) -> None:
 
 def shrink(dga: Dga, u: Fraction) -> Dga:
     """Uniform height rescaling by u^2 (0 < u <= 1); combinatorics unchanged."""
-    u = Fraction(u)
+    u = _fraction(u)
     if not 0 < u <= 1:
         raise DgaError(f"shrink factor must lie in (0, 1], got {u}")
     if not dga.has_heights():
@@ -290,15 +300,15 @@ def shrink(dga: Dga, u: Fraction) -> Dga:
 
 
 def apply_endomorphism(dga: Dga, m: AlgebraMap) -> ValidationReport:
-    """Check that m preserves the grading: every word of m(g) has deg(g)."""
+    """Check that m preserves the grading: every word of m(g) has deg(g).
+    A symbolic image is tested for zero, which may count its words, only
+    when the degree bounds of its letters are not exactly deg(g)."""
     report = ValidationReport()
     for name in sorted(m.assignments):
         target = dga.degree(name)
         image = m.assignments[name]
-        if not image:
-            continue
         lo, hi, wrong = _wrong_degrees(dga, image, target)
-        if wrong is None:
+        if wrong is None and image:
             report.violations.append(
                 f"{name} -> symbolic image with degree bounds [{lo},{hi}], "
                 f"expected exactly {target}"
@@ -351,7 +361,7 @@ def reading(data, schema: str):
 
 def generator_from_dict(entry: Mapping) -> Generator:
     """A generator from its dga.v1 entry: name, degree and optional height."""
-    height = Fraction(entry["height"]) if "height" in entry else None
+    height = _fraction(entry["height"]) if "height" in entry else None
     degree = entry["degree"]
     if type(degree) is not int:  # a JSON integer, and not a boolean
         raise TypeError(f"degree {degree!r} is not an integer")

@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 import time
-from fractions import Fraction
 
 from .algebra import AlgebraMap, Poly, add, compose, mul, poly_to_str
 from .builders import (
@@ -298,6 +297,8 @@ def _random_poly(rng, letters, max_words=4, max_len=3):
 )
 def criterion_8():
     """Randomized algebraic laws, >= 1000 cases per family."""
+    from fractions import Fraction
+
     problems = []
     rng = random.Random(13)
     letters = ["a", "b", "c", "d"]

@@ -4,7 +4,10 @@ import argparse
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +174,51 @@ class TestPipeline:
         assert json.loads(out)["schema"] == "tangle.v1"
 
 
+# Run in a fresh interpreter: build the trefoil to the file argv[1], with
+# a manifest at argv[2] if given, read it back, and print which of
+# the modules a plain run never needs were loaded.
+FOOTPRINT = """
+import json, sys
+from legch import cli
+from legch.dga import dga_from_dict
+doc, manifest = sys.argv[1], sys.argv[2:]
+argv = ["build", "torus", "--n", "3", "--emit", doc]
+status = cli.main(argv + (["--manifest", manifest[0]] if manifest else []))
+with open(doc) as fh:
+    dga_from_dict(json.load(fh))
+loaded = [m for m in ("hashlib", "_hashlib", "fractions", "decimal") if m in sys.modules]
+print(json.dumps({"status": status, "loaded": loaded}))
+"""
+
+
+class TestFootprint:
+    def footprint(self, tmp_path, *manifest):
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", FOOTPRINT, str(tmp_path / "trefoil.json"), *manifest],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(done.stdout)
+
+    def test_plain_run_loads_no_digest_or_fraction_code(self, tmp_path):
+        # hashlib loads OpenSSL (3.6 MB of RSS with Python 3.11 on Linux),
+        # fractions loads decimal: only --manifest and heights need them
+        assert self.footprint(tmp_path) == {"status": 0, "loaded": []}
+
+    def test_manifest_run_records_the_digest(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        assert self.footprint(tmp_path, str(manifest)) == {
+            "status": 0,
+            "loaded": ["hashlib", "_hashlib"],
+        }
+        doc = tmp_path / "trefoil.json"
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert outputs == {str(doc): sha256(doc.read_bytes())}
+
+
 # sha256 of the n = 7 quick start's documents, each byte-identical under
 # every hash seed: the canonical form of docs/schemas.md
 QUICK_START_7 = {
@@ -232,7 +280,7 @@ class TestStreamedDocuments:
         # when its words were expanded as tuples and the text built whole),
         # and of reading it back, about 8.7 MB (12.3 MB with a list of all
         # terms and a word set copied into a frozenset)
-        run = cli._Run([])
+        run = cli._Run([], None)
         tangles = [tangle_from_dict(run.read(str(quick_start_7 / f"t{i}.json"))) for i in (1, 2)]
         dga = connect_sum(tangles)
         args = argparse.Namespace(emit=str(tmp_path / "sum.json"))

@@ -38,6 +38,10 @@ class TestDegreeFromRotation:
             degree_from_rotation(Fraction(1, 2))
         with pytest.raises(NotQuarterOdd):
             degree_from_rotation(Fraction(1))
+        # 4r is not an integer
+        for r in (Fraction(1, 3), Fraction(1, 8)):
+            with pytest.raises(NotQuarterOdd):
+                degree_from_rotation(r)
 
     def test_bijection_on_window(self):
         # r = (2k+1)/4 sweeps each integer degree exactly once
@@ -151,6 +155,15 @@ class TestDegreeMessages:
             "y -> symbolic image with degree bounds [0,2], expected exactly 0",
             "z -> word y of degree 0, expected 1",
         ]
+
+    def test_apply_endomorphism_symbolic_zero_image(self, monkeypatch):
+        # (y + z) y + y y + z y: three symbolic products that cancel, with
+        # degree bounds [0,1] against the target 0 of y: tested for zero
+        monkeypatch.setattr(algebra, "LAZY_THRESHOLD", 0)
+        dga, _ = wrong_degree_dga(monkeypatch)
+        zero = add(add(mul(P("y + z"), P("y")), mul(P("y"), P("y"))), mul(P("z"), P("y")))
+        assert not zero.is_explicit and zero.size_bound() == 4
+        assert apply_endomorphism(dga, AlgebraMap({"y": zero})).ok
 
 
 class TestWordDegreeBounds:

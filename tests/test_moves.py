@@ -360,6 +360,20 @@ class TestBackToFrontFold:
             total = compose(AlgebraMap({event.x: P(f"{event.x} + {event.z} {event.y}")}), total)
         assert len(calls) == 1 + 2 + 3 + 4 + 5 * (k - 5)
 
+    def test_verified_degree_check_never_expands(self, monkeypatch):
+        # nine RIIIb events over five generators of degree 0: the images'
+        # size bounds reach 3 285 033 words, yet every letter has degree 0,
+        # so the letters' degree bounds settle the check with no word
+        # counted
+        names = ("a", "b", "c", "d", "e")
+        events = tuple(RIIIb(*(names[(i + s) % 5] for s in (0, 1, 3))) for i in range(9))
+        calls = []
+        expanded = Poly._expanded
+        monkeypatch.setattr(Poly, "_expanded", lambda p: calls.append(p) or expanded(p))
+        mono = run_script(MoveScript(degree_zero_dga(*names), events, "verified")).map
+        assert calls == []
+        assert max(mono(g).size_bound() for g in names) == 3_285_033
+
 
 class TestFlyFixed:
     def test_riii_a_only(self):
