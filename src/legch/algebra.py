@@ -191,11 +191,14 @@ class Poly:
     @staticmethod
     def from_words(words: Iterable[Iterable[str]]) -> "Poly":
         acc: set[Word] = set()
-        known = _CHECKED.get
+        known = _CHECKED.__getitem__
         for w in words:
             letters = tuple(w)  # read once: w may be an iterator
-            word = tuple(map(known, letters))
-            if None in word:  # a letter not seen before
+            try:
+                word = tuple(map(known, letters))
+            except KeyError:  # a letter not seen before
+                word = None
+            if word is None:
                 word = tuple(map(check_name, letters))
             if word in acc:
                 acc.discard(word)
@@ -911,6 +914,8 @@ class AlgebraMap:
         goes to self(g); the keys of both maps are checked already."""
         if not self.assignments:
             return inner
+        if not inner.assignments:
+            return self
         out = AlgebraMap.__new__(AlgebraMap)
         out.assignments = dict(self.assignments)
         for g, img in inner.assignments.items():
@@ -1009,14 +1014,17 @@ def _terms(text: str) -> Iterator[Word]:
     """The words of a nonzero polynomial string one at a time, in reading
     order, their letters checked.  The text is split a slice of about 16 K
     characters at a time, each ending at a `+`: no list of all its terms."""
-    known = _CHECKED.get
+    known = _CHECKED.__getitem__
     start, end = 0, len(text)
     while start <= end:
         stop = text.find("+", start + 16384)
         stop = end if stop < 0 else stop
         for letters in map(str.split, text[start:stop].split("+")):
-            word = tuple(map(known, letters))
-            if None in word or not word:  # a new letter, 1, 0, or none
+            try:
+                word = tuple(map(known, letters))
+            except KeyError:
+                word = None
+            if not word:  # a new letter, 1, 0, or none
                 if not letters:
                     raise AlgebraError(f"malformed polynomial string: {text!r}")
                 if letters == ["0"]:

@@ -11,7 +11,6 @@ degree-1 crossing a with d(a) = 1 + W_1 ... W_k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import algebra
@@ -25,7 +24,7 @@ from .algebra import (
     unsafe_disjoint_sum,
     unsafe_injective_product,
 )
-from .dga import Dga, DgaError, Generator, dga_from_dict, dga_to_dict, reading
+from .dga import Dga, DgaError, Generator, Record, dga_from_dict, dga_to_dict, reading
 
 
 class BuilderError(DgaError):
@@ -69,11 +68,13 @@ def _kept(build):
     return builder
 
 
-@dataclass(frozen=True)
-class PathMatrix:
+class PathMatrix(Record):
     """2x2 matrix of polynomials: ((B11, B12), (B21, B22))."""
 
-    entries: tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Poly, Poly], tuple[Poly, Poly]]):
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, idx: tuple[int, int]) -> Poly:
         i, j = idx
@@ -139,14 +140,16 @@ def torus_knot_dga(n: int) -> Dga:
     return Dga(gens, diff, rotation_zero=True)
 
 
-@dataclass(frozen=True)
-class Tangle:
+class Tangle(Record):
     """An open knot: its internal DGA (closure crossing removed, names
     prefixed) and the associated word W = d(closure) + 1."""
 
-    internal: Dga
-    word: Poly
-    prefix: str
+    __slots__ = _fields = ("internal", "word", "prefix")
+
+    def __init__(self, internal: Dga, word: Poly, prefix: str):
+        object.__setattr__(self, "internal", internal)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "prefix", prefix)
 
 
 def _prefixed(prefix: str, name: str) -> str:

@@ -10,7 +10,6 @@ than raised, so corpora can be triaged in one pass.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -43,16 +42,52 @@ class MissingHeights(DgaError):
     pass
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-    height: Fraction | None = None
+class Record:
+    """Base of the read-only records: __init__ sets each slot once, through
+    object.__setattr__, and the fields named in _fields give equality
+    (between records of one class), hash and repr.  Assigning to a record
+    raises AttributeError: builders hand out shared records."""
 
-    def __post_init__(self):
-        check_name(self.name)
-        if self.height is not None and self.height <= 0:
-            raise DgaError(f"height of {self.name} must be positive")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __setstate__(self, state):
+        # copy and pickle pass (None, {slot: value}), the state of a slotted object
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Generator(Record):
+    __slots__ = _fields = ("name", "degree", "height")
+
+    def __init__(self, name: str, degree: int, height: Fraction | None = None):
+        name = check_name(name)
+        if height is not None and height <= 0:
+            raise DgaError(f"height of {name} must be positive")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "height", height)
 
 
 def _undeclared(p: Poly, names: frozenset[str]) -> list[str]:
@@ -62,29 +97,33 @@ def _undeclared(p: Poly, names: frozenset[str]) -> list[str]:
     return sorted(c for c in p.alphabet() - names if p.max_count(c) > 0)
 
 
-@dataclass(frozen=True)
-class Dga:
-    generators: tuple[Generator, ...]
-    differential: Mapping[str, Poly]
-    rotation_zero: bool = True
+class Dga(Record):
+    _fields = ("generators", "differential", "rotation_zero")
     # name -> generator and the name set, built once per DGA
-    _index: dict[str, Generator] = field(init=False, repr=False, compare=False)
-    names: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("_index", "names")
 
-    def __post_init__(self):
-        index = {g.name: g for g in self.generators}
-        if len(index) != len(self.generators):
+    def __init__(
+        self,
+        generators: tuple[Generator, ...],
+        differential: Mapping[str, Poly],
+        rotation_zero: bool = True,
+    ):
+        index = {g.name: g for g in generators}
+        if len(index) != len(generators):
             raise DgaError("duplicate generator names")
         names = frozenset(index)
-        for name, image in self.differential.items():
+        for name, image in differential.items():
             if name not in index:
                 raise UnknownGenerator(f"differential given for undeclared {name!r}")
             extra = _undeclared(image, names)
             if extra:
                 raise UnknownGenerator(f"d({name}) mentions undeclared generators {extra}")
-        # the one place zero images are dropped: d(g) = 0 is stored by absence
-        kept = MappingProxyType({n: p for n, p in self.differential.items() if p})
-        object.__setattr__(self, "differential", kept)  # read-only: a DGA may be shared
+        # the one place zero images are dropped: d(g) = 0 is stored by absence;
+        # read-only, as a DGA may be shared
+        kept = MappingProxyType({n: p for n, p in differential.items() if p})
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "differential", kept)
+        object.__setattr__(self, "rotation_zero", rotation_zero)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "names", names)
 
@@ -176,10 +215,12 @@ def degree_from_rotation(r: Fraction) -> int:
     return -(q.numerator + 1) // 2
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = _fields = ("violations", "skipped")
+
+    def __init__(self, violations: list[str] | None = None, skipped: list[str] | None = None):
+        object.__setattr__(self, "violations", [] if violations is None else violations)
+        object.__setattr__(self, "skipped", [] if skipped is None else skipped)
 
     @property
     def ok(self) -> bool:

@@ -21,11 +21,10 @@ b3 to b1, and fixes every fly generator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Literal, Union
 
 from .algebra import AlgebraMap, Poly, add, compose, mul
-from .dga import Dga, DgaError, Generator, ValidationReport, apply_endomorphism
+from .dga import Dga, DgaError, Generator, Record, ValidationReport, apply_endomorphism
 
 
 class MoveError(DgaError):
@@ -52,53 +51,67 @@ class FlyCollision(MoveError):
     pass
 
 
-@dataclass(frozen=True)
-class RII:
-    x: Generator
-    y: Generator
-    new_differentials: dict[str, Poly]
+class RII(Record):
+    __slots__ = _fields = ("x", "y", "new_differentials")
+
+    def __init__(self, x: Generator, y: Generator, new_differentials: dict[str, Poly]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "new_differentials", new_differentials)
 
 
-@dataclass(frozen=True)
-class RIIInv:
-    x: str
-    y: str
+class RIIInv(Record):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: str, y: str):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class RIIIa:
-    pass
+class RIIIa(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RIIIb:
-    x: str
-    y: str
-    z: str
+class RIIIb(Record):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: str, y: str, z: str):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class Relabel:
-    perm: dict[str, str]
+class Relabel(Record):
+    __slots__ = _fields = ("perm",)
+
+    def __init__(self, perm: dict[str, str]):
+        object.__setattr__(self, "perm", perm)
 
 
 MoveEvent = Union[RII, RIIInv, RIIIa, RIIIb, Relabel]
 
 
-@dataclass(frozen=True)
-class MoveScript:
-    initial: Dga
-    events: tuple[MoveEvent, ...]
-    mode: Literal["verified", "formal"] = "verified"
+class MoveScript(Record):
+    __slots__ = _fields = ("initial", "events", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("verified", "formal"):
-            raise MoveError(f"mode must be 'verified' or 'formal', got {self.mode!r}")
+    def __init__(
+        self,
+        initial: Dga,
+        events: tuple[MoveEvent, ...],
+        mode: Literal["verified", "formal"] = "verified",
+    ):
+        if mode not in ("verified", "formal"):
+            raise MoveError(f"mode must be 'verified' or 'formal', got {mode!r}")
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class Monodromy:
-    map: AlgebraMap
+class Monodromy(Record):
+    __slots__ = _fields = ("map",)
+
+    def __init__(self, map: AlgebraMap):
+        object.__setattr__(self, "map", map)
 
 
 def _require(state: Dga, *names: str) -> None:
@@ -114,7 +127,8 @@ def holonomy(event: MoveEvent, state: Dga, verified: bool = True) -> tuple[Algeb
 
     if isinstance(event, RIIIb):
         _require(state, event.x, event.y, event.z)
-        sub = AlgebraMap({event.x: Poly.from_words([(event.x,), (event.z, event.y)])})
+        # x + z y: the names are state names, and the two words differ in length
+        sub = AlgebraMap({event.x: Poly._explicit(frozenset({(event.x,), (event.z, event.y)}))})
         diff = {name: sub.apply(p) for name, p in state.differential.items()}
         if all(diff[name] is p for name, p in state.differential.items()):
             return sub, state  # no differential mentions x

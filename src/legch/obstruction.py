@@ -9,11 +9,10 @@ obstruction is one-directional).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from .algebra import AlgebraMap, Poly, add
-from .dga import Dga, DgaError
+from .algebra import AlgebraMap, Poly, add, compose
+from .dga import Dga, DgaError, Record
 from .builders import Tangle, connect_sum, torus_tangle
 from .moves import kalman_monodromy
 
@@ -30,9 +29,11 @@ class BadSummand(ObstructionError):
     pass
 
 
-@dataclass
-class CertificateReport:
-    values: dict[str, int]
+class CertificateReport(Record):
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: dict[str, int]):
+        object.__setattr__(self, "values", values)
 
     def __str__(self) -> str:
         return ", ".join(f"tau(d({c})) = {v}" for c, v in sorted(self.values.items()))
@@ -53,13 +54,18 @@ def tau_parity_certificate(dga: Dga, marker: str) -> tuple[bool, CertificateRepo
     return ok, CertificateReport(values)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    witness: str
-    marker: str
-    tau_value: int
-    certificate_ok: bool
-    image: Poly = field(compare=False, repr=False)  # mu(witness)
+class Verdict(Record):
+    _fields = ("witness", "marker", "tau_value", "certificate_ok")
+    __slots__ = _fields + ("image",)  # image: mu(witness), neither compared nor shown
+
+    def __init__(
+        self, witness: str, marker: str, tau_value: int, certificate_ok: bool, image: Poly
+    ):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "tau_value", tau_value)
+        object.__setattr__(self, "certificate_ok", certificate_ok)
+        object.__setattr__(self, "image", image)
 
     @property
     def conclusion(self) -> Literal["nontrivial", "inconclusive"]:
@@ -107,10 +113,19 @@ def family_verdicts(
     marker: str = "b3",
 ) -> dict[int, Verdict]:
     """Verdicts for the Kalman loop raised to each power j, acting on the
-    connected sum of the K_{n,2} summand tangles with a trefoil."""
+    connected sum of the K_{n,2} summand tangles with a trefoil.  The
+    smallest power is built by kalman_monodromy, which checks j and the fly;
+    each later power is the one-pass map composed onto the power before."""
     dga, fly_word = family_dga(summands)
     out = {}
+    built = 0  # the power mu holds
     for j in sorted(set(powers)):
-        mu = kalman_monodromy(fly_word, j)
+        if not built:
+            mu = kalman_monodromy(fly_word, j)
+            one_pass = mu if j == 1 else kalman_monodromy(fly_word, 1)
+        else:
+            for _ in range(j - built):
+                mu = compose(one_pass, mu)
+        built = j
         out[j] = verdict(dga, mu, witness, marker)
     return out

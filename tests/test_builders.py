@@ -17,6 +17,7 @@ from legch.builders import (
     EmptyList,
     EvenParameter,
     NotDegreeOne,
+    PathMatrix,
     PrefixCollision,
     Tangle,
     TooSmall,
@@ -155,6 +156,13 @@ class TestPathMatrix:
         assert m.lengths() == fibonacci_lengths(63)
 
 
+    def test_kept_matrix_is_read_only(self):
+        m = path_matrix(5)
+        with pytest.raises(AttributeError):
+            m.entries = ()
+        assert path_matrix(5) is m and m == PathMatrix(m.entries)
+
+
 class TestFibonacci:
     def test_values(self):
         assert fibonacci_lengths(3) == (3, 2, 2, 1)
@@ -205,6 +213,14 @@ class TestTorusKnot:
 
 
 class TestTangle:
+    def test_kept_tangle_is_read_only(self):
+        t = torus_tangle(3, "k1")
+        for field in ("internal", "word", "prefix"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, None)
+        assert torus_tangle(3, "k1") is t
+        assert t == Tangle(t.internal, t.word, "k1") != Tangle(t.internal, t.word, "k2")
+
     def test_trefoil_word(self):
         t = torus_tangle(3, "")
         assert poly_to_str(t.word) == "1 + b2 + b1 b2 + b2 b3 + b2 b3 b1 b2"

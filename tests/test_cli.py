@@ -203,6 +203,22 @@ class TestFootprint:
         )
         return json.loads(done.stdout)
 
+    def test_start_up_loads_neither_dataclasses_nor_verify(self):
+        # records are slotted classes, and only `legch verify` loads the checks
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\nfrom legch import cli\ncli._parser()\n"
+            "print([m for m in ('dataclasses', 'inspect', 'legch.verify') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-B", "-c", code],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "[]\n"
+
     def test_plain_run_loads_no_digest_or_fraction_code(self, tmp_path):
         # hashlib loads OpenSSL (3.6 MB of RSS with Python 3.11 on Linux),
         # fractions loads decimal: only --manifest and heights need them
@@ -563,6 +579,15 @@ class TestVerify:
         status, out, _ = run_cli(capsys, "verify", "trefoil")
         assert status == 0
         assert out.startswith("PASS")
+
+    def test_unknown_target_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: legch verify")
+        assert "error: argument target: invalid choice: 'nosuch' (choose from 'all', " in err
+        assert "'fibonacci', 'trefoil', " in err
 
     def test_emit_on_criterion_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -1,11 +1,13 @@
 """Unit tests for the DGA container and its validators."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from legch import algebra
-from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str
+from legch.algebra import AlgebraMap, BadGeneratorName, Poly, add, mul, poly_from_str
 from legch.builders import path_matrix, torus_knot_dga
 from legch.dga import (
     Dga,
@@ -315,3 +317,55 @@ class TestInvariants:
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DgaError):
             Generator("x", 0, Fraction(0))
+
+
+class TestRecords:
+    def test_read_only(self):
+        g = Generator("x", 1)
+        dga = Dga((g,), {"x": P("1")})
+        for record, field in ((g, "name"), (g, "height"), (dga, "differential"), (dga, "names")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            dga.extra = 1
+        with pytest.raises(TypeError):
+            dga.differential["x"] = P("0")
+
+    def test_generator_compares_and_hashes_by_its_fields(self):
+        assert Generator("x", 0) == Generator("x", 0, None)
+        assert Generator("x", 0) != Generator("x", 1)
+        assert Generator("x", 0, Fraction(1, 2)) != Generator("x", 0)
+        assert Generator("x", 0) != ("x", 0, None)
+        assert len({Generator("x", 0), Generator("x", 0), Generator("y", 0)}) == 2
+        assert repr(Generator("x", 0)) == "Generator(name='x', degree=0, height=None)"
+
+    def test_dga_compares_by_generators_differential_and_flag(self):
+        gens = (Generator("x", 1), Generator("y", 0))
+        assert Dga(gens, {"x": P("y")}) == Dga(gens, {"x": P("y"), "y": P("0")}, True)
+        assert Dga(gens, {"x": P("y")}) != Dga(gens, {})
+        assert Dga(gens, {}) != Dga(gens, {}, rotation_zero=False)
+        with pytest.raises(TypeError):
+            hash(Dga(gens, {}))  # the differential is a mapping
+        assert repr(Dga(gens[1:], {})) == (
+            "Dga(generators=(Generator(name='y', degree=0, height=None),), "
+            "differential=mappingproxy({}), rotation_zero=True)"
+        )
+
+    def test_copy_and_pickle_keep_the_fields(self):
+        g = Generator("x", 1, Fraction(3, 2))
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and twin is not g and twin.height == Fraction(3, 2)
+            with pytest.raises(AttributeError):
+                twin.name = "y"
+        dga = torus_knot_dga(3)
+        twin = copy.copy(dga)
+        assert twin == dga and twin.names == dga.names and twin.generator("a1") is dga.generator("a1")
+
+    def test_construction_checks(self):
+        with pytest.raises(BadGeneratorName):
+            Generator("1x", 0)
+        with pytest.raises(DgaError, match="height of x must be positive"):
+            Generator("x", 0, Fraction(0))
+        assert Dga((Generator("x", 0),), {}).rotation_zero is True

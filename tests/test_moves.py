@@ -209,10 +209,57 @@ class TestHolonomy:
             )
 
 
+class TestEvents:
+    def events(self):
+        return (
+            RII(Generator("x", 1), Generator("y", 0), {"x": P("y")}),
+            RIIInv("x", "y"),
+            RIIIa(),
+            RIIIb("x", "y", "z"),
+            Relabel({"a": "b", "b": "a"}),
+        )
+
+    def test_read_only(self):
+        for event in self.events():
+            with pytest.raises(AttributeError):
+                event.x = "q"
+        script = MoveScript(degree_zero_dga("p"), ())
+        with pytest.raises(AttributeError):
+            script.mode = "formal"
+
+    def test_compare_by_their_fields(self):
+        for a, b in zip(self.events(), self.events()):
+            assert a == b and a is not b
+        assert RIIIb("x", "y", "z") != RIIIb("x", "z", "y")
+        assert RIIInv("x", "y") != RIIIb("x", "y", "z")
+        assert RIIIb("x", "y", "z") != ("x", "y", "z")
+
+    def test_hash_where_their_fields_hash(self):
+        kept = {RIIIb("x", "y", "z"), RIIIb("x", "y", "z"), RIIInv("x", "y"), RIIIa(), RIIIa()}
+        assert kept == {RIIIb("x", "y", "z"), RIIInv("x", "y"), RIIIa()}
+        rii, *_, relabel = self.events()
+        for event in (rii, relabel):  # their fields hold dicts
+            with pytest.raises(TypeError):
+                hash(event)
+
+    def test_repr_names_the_fields(self):
+        assert repr(RIIIb("x", "y", "z")) == "RIIIb(x='x', y='y', z='z')"
+        assert repr(RIIIa()) == "RIIIa()"
+        assert repr(Relabel({"a": "b"})) == "Relabel(perm={'a': 'b'})"
+
+    def test_unknown_event_error_shows_its_repr(self):
+        with pytest.raises(MoveError) as exc:
+            holonomy(Generator("q", 0), degree_zero_dga("a"))
+        assert str(exc.value) == "unknown event Generator(name='q', degree=0, height=None)"
+
+
 class TestRunScript:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(MoveError):
+        with pytest.raises(MoveError, match="mode must be 'verified' or 'formal', got 'verifed'"):
             MoveScript(degree_zero_dga("p"), (), "verifed")
+
+    def test_mode_defaults_to_verified(self):
+        assert MoveScript(degree_zero_dga("p"), ()).mode == "verified"
 
     def test_empty(self):
         script = MoveScript(degree_zero_dga("p"), (), "verified")

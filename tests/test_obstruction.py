@@ -8,7 +8,7 @@ from legch import algebra
 from legch.algebra import AlgebraMap, Poly, add, mul, poly_from_str
 from legch.builders import fibonacci_lengths, torus_knot_dga, torus_tangle
 from legch.dga import Dga, Generator, UnknownGenerator
-from legch.moves import kalman_monodromy
+from legch.moves import MoveError, kalman_monodromy
 from legch.obstruction import (
     BadSummand,
     NotDegreeZeroMarker,
@@ -87,6 +87,15 @@ class TestVerdict:
         ):
             assert Verdict("b3", "b3", tau, ok, Poly.zero()).conclusion == want
 
+    def test_equality_ignores_the_image(self):
+        a = Verdict("b3", "b3", 1, True, Poly.zero())
+        assert a == Verdict("b3", "b3", 1, True, P("b1 b2"))
+        assert a != Verdict("b3", "b3", 3, True, Poly.zero())
+        assert hash(a) == hash(Verdict("b3", "b3", 1, True, P("b1")))
+        assert repr(a) == "Verdict(witness='b3', marker='b3', tau_value=1, certificate_ok=True)"
+        with pytest.raises(AttributeError):
+            a.tau_value = 2
+
 
 class TestFamily:
     def test_single_trefoil_fly(self):
@@ -102,6 +111,21 @@ class TestFamily:
             "nontrivial",
         ]
         assert all(out[j].tau_value % 2 == 1 for j in out)
+
+    def test_powers_built_incrementally_match_each_from_scratch(self):
+        dga, fly_word = family_dga([3, 7])
+        for powers in ((1, 2, 3), (2, 4), (3,), (4, 2, 2)):
+            out = family_verdicts([3, 7], powers)
+            assert list(out) == sorted(set(powers))
+            for j, v in out.items():
+                direct = verdict(dga, kalman_monodromy(fly_word, j), "b3", "b3")
+                assert v == direct
+                assert v.image == direct.image
+
+    def test_power_and_fly_errors_come_from_the_smallest_power(self):
+        with pytest.raises(MoveError, match="j >= 1 required, got 0"):
+            family_verdicts([3], [2, 0])
+        assert family_verdicts([3], []) == {}
 
     def test_two_summands(self):
         out = family_verdicts([3, 3], [2])
