@@ -155,7 +155,6 @@ class TestPathMatrix:
         assert next(algebra._SERIALS) - before - 1 <= 8
         assert m.lengths() == fibonacci_lengths(63)
 
-
     def test_kept_matrix_is_read_only(self):
         m = path_matrix(5)
         with pytest.raises(AttributeError):
